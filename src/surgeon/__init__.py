@@ -14,11 +14,9 @@ from .diagrams import (
 from .exactlin import (
     SNFDecomposition,
     SolveResult,
-    char_poly,
     kernel_basis,
     minimal_order_solve,
     smith_normal_form,
-    solve_integer,
     solve_rational,
     symmetric_signature,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "SNFDecomposition",
     "SolveResult",
     "SurgeryDiagram",
-    "char_poly",
     "classical_invariants",
     "d3_closed_form",
     "d3_pm1",
@@ -84,7 +81,6 @@ __all__ = [
     "rot_surgered",
     "sl_surgered",
     "smith_normal_form",
-    "solve_integer",
     "solve_rational",
     "symmetric_signature",
     "tb_surgered",

@@ -12,7 +12,8 @@ and for +-1 coefficients it reduces to the classical
 
 with q the number of +1 coefficients.  Both are implemented; agreeing on
 every diagram (closed form versus the +-1 formula on the expanded diagram)
-is the central correctness check of this package.
+is the central correctness check of this package.  The closed form never
+expands (sigma(Q) comes from diag(m)*Q), so the two share no signature.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -54,9 +53,6 @@ class ContactCoefficient:
             )
         sign = 1 if m.group(1) == "+" else -1
         return cls(sign, int(m.group(2) or "1"))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.sign, self.magnitude)
 
     def __str__(self) -> str:
         s = "+" if self.sign > 0 else "-"

@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular transforms, linear solving over the
-integers and the rationals with kernel bases, minimal-order solving, and
+Smith normal form with unimodular transforms, minimal-order integer solving
+and rational solving with kernel bases (one factorization per solve), and
 the exact signature of symmetric integer matrices.
 
 Matrices are sequences of rows of Python integers (Fractions where rational
@@ -35,14 +35,6 @@ def _identity(n: int) -> list[list[int]]:
 
 def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence) -> list:
@@ -217,9 +209,9 @@ def _hermite_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     return rows
 
 
-def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Basis of the integer kernel of a matrix, in Hermite-reduced form."""
-    snf = smith_normal_form(matrix)
+def kernel_basis(snf: SNFDecomposition) -> tuple[tuple[int, ...], ...]:
+    """Basis of the integer kernel of the matrix decomposed by `snf`, in
+    Hermite-reduced form: the columns of V beyond the rank span it."""
     ncols = len(snf.V)
     vectors = [tuple(snf.V[i][j] for i in range(ncols)) for j in range(snf.rank, ncols)]
     return _freeze(_hermite_rows(vectors))
@@ -239,14 +231,16 @@ class SolveResult:
     kernel_basis: tuple[tuple[int, ...], ...]
 
 
-def _snf_solve_data(matrix, vector):
+def _snf_solve(matrix, vector):
+    """The one SNF of a solve and w = U*v, or (snf, None) when M*x = v has
+    no rational solution (w has a nonzero coordinate beyond the rank)."""
     snf = smith_normal_form(matrix)
     nrows = len(snf.U)
     if len(vector) != nrows:
         raise ValueError("vector length does not match matrix rows")
     w = mat_vec(snf.U, vector)
     if any(w[i] != 0 for i in range(snf.rank, nrows)):
-        return snf, None  # not even rationally solvable
+        return snf, None
     return snf, w
 
 
@@ -254,27 +248,6 @@ def _assemble(snf: SNFDecomposition, y: list) -> list:
     ncols = len(snf.V)
     full = list(y) + [0] * (ncols - len(y))
     return mat_vec(snf.V, full)
-
-
-def solve_integer(matrix: Sequence[Sequence[int]],
-                  vector: Sequence[int]) -> Optional[SolveResult]:
-    """Solve M*a = v over the integers.
-
-    Returns the solution found by Smith normal form back-substitution and a
-    Hermite-reduced basis of the integer kernel, or None when no integral
-    solution exists.
-    """
-    snf, w = _snf_solve_data(matrix, vector)
-    if w is None:
-        return None
-    diag = snf.diagonal
-    y = []
-    for i in range(snf.rank):
-        if w[i] % diag[i] != 0:
-            return None
-        y.append(w[i] // diag[i])
-    particular = tuple(_assemble(snf, y))
-    return SolveResult(1, particular, kernel_basis(matrix))
 
 
 def minimal_order_solve(matrix: Sequence[Sequence[int]],
@@ -286,7 +259,7 @@ def minimal_order_solve(matrix: Sequence[Sequence[int]],
     the minimal such d is lcm_i d_i / gcd(d_i, w_i).  Returns None iff v has
     no rational preimage.
     """
-    snf, w = _snf_solve_data(matrix, vector)
+    snf, w = _snf_solve(matrix, vector)
     if w is None:
         return None
     diag = snf.diagonal
@@ -294,8 +267,7 @@ def minimal_order_solve(matrix: Sequence[Sequence[int]],
     for i in range(snf.rank):
         d = lcm(d, diag[i] // gcd(diag[i], w[i]))
     y = [d * w[i] // diag[i] for i in range(snf.rank)]
-    particular = tuple(_assemble(snf, y))
-    return SolveResult(d, particular, kernel_basis(matrix))
+    return SolveResult(d, tuple(_assemble(snf, y)), kernel_basis(snf))
 
 
 def solve_rational(matrix: Sequence[Sequence[int]],
@@ -306,39 +278,12 @@ def solve_rational(matrix: Sequence[Sequence[int]],
     where the kernel is the Hermite-reduced integer kernel basis (it spans
     the rational kernel as well), or None when the system is inconsistent.
     """
-    snf = smith_normal_form(matrix)
-    if len(vector) != len(snf.U):
-        raise ValueError("vector length does not match matrix rows")
-    w = mat_vec(snf.U, [Fraction(x) for x in vector])
-    if any(w[i] != 0 for i in range(snf.rank, len(w))):
+    snf, w = _snf_solve(matrix, vector)
+    if w is None:
         return None
     diag = snf.diagonal
-    y = [w[i] / diag[i] for i in range(snf.rank)]
-    particular = tuple(_assemble(snf, y))
-    return particular, kernel_basis(matrix)
-
-
-def char_poly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients of det(x*I - M), highest power first, computed exactly.
-
-    Faddeev-LeVerrier recursion; every division is exact over the integers.
-    """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    coeffs = [1]
-    aux = _identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(rows, aux)
-        trace = sum(am[i][i] for i in range(n))
-        assert trace % k == 0
-        c = -(trace // k)
-        coeffs.append(c)
-        for i in range(n):
-            am[i][i] += c
-        aux = am
-    return tuple(coeffs)
+    y = [Fraction(w[i]) / diag[i] for i in range(snf.rank)]
+    return tuple(_assemble(snf, y)), kernel_basis(snf)
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:

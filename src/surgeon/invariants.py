@@ -38,8 +38,8 @@ def order_and_solution(diagram: SurgeryDiagram, knot: CompanionKnot) -> Optional
 
 
 def _weighted_sum(diagram: SurgeryDiagram, solution: SolveResult, weights) -> Fraction:
-    q = linking_matrix(diagram).magnitudes
-    total = sum(a * m * w for a, m, w in zip(solution.particular, q, weights))
+    total = sum(a * c.coeff.magnitude * w
+                for a, c, w in zip(solution.particular, diagram.components, weights))
     return Fraction(total, solution.order)
 
 
@@ -61,12 +61,10 @@ def rot_shifts(diagram: SurgeryDiagram, solution: SolveResult) -> tuple[RotShift
     Replacing the solution a by a + v changes rot_M by the negative of this
     shift (and sl_M of a transverse knot by transverse_sign times it).
     """
-    q = linking_matrix(diagram).magnitudes
-    rots = [c.rot for c in diagram.components]
     out = []
     for v in solution.kernel_basis:
-        shift = Fraction(sum(vi * mi * ri for vi, mi, ri in zip(v, q, rots)), solution.order)
-        out.append((v, shift))
+        total = sum(vi * c.coeff.magnitude * c.rot for vi, c in zip(v, diagram.components))
+        out.append((v, Fraction(total, solution.order)))
     return tuple(out)
 
 

@@ -25,7 +25,6 @@ class GeneralizedLinkingMatrix:
 
     entries: Matrix
     magnitudes: tuple[int, ...]
-    names: tuple[str, ...]
 
     @property
     def k(self) -> int:
@@ -40,10 +39,7 @@ def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
         tuple(slopes[i][0] if i == j else slopes[j][1] * diagram.linking[i][j]
               for j in range(k))
         for i in range(k))
-    return GeneralizedLinkingMatrix(
-        entries,
-        tuple(q for _, q in slopes),
-        tuple(c.name for c in diagram.components))
+    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes))
 
 
 @dataclass(frozen=True)
@@ -106,15 +102,15 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
 
 
 def diagram_signature(diagram: SurgeryDiagram) -> int:
-    """Signature of the generalized linking matrix.
+    """Signature of the generalized linking matrix Q, without expanding.
 
-    Q is not symmetric in general, but all its eigenvalues are real: they
-    lift to eigenvalues of the symmetric matrix Q' of the expanded diagram,
-    whose extra eigenvalues are exactly the coefficient signs s_i with
-    multiplicity m_i - 1.  Hence sigma(Q) = sigma(Q') - sum (m_i - 1) s_i,
-    which is computable exactly without real-root isolation.
+    Q is not symmetric in general, but with M = diag(m_1, ..., m_k) > 0 the
+    matrix S = M*Q is.  Q = M^-1 S is similar to M^(-1/2) S M^(-1/2), which
+    is congruent to S; so all eigenvalues of Q are real and, by Sylvester's
+    law of inertia, sigma(Q) = sigma(M*Q): the exact signature of a
+    symmetric k x k integer matrix, at a cost independent of the m_i.
     """
-    expanded = expand_to_pm1(diagram)
-    n_plus, _, n_minus = symmetric_signature(linking_matrix(expanded).entries)
-    correction = sum((c.coeff.magnitude - 1) * c.coeff.sign for c in diagram.components)
-    return n_plus - n_minus - correction
+    q = linking_matrix(diagram)
+    weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
+    n_plus, _, n_minus = symmetric_signature(weighted)
+    return n_plus - n_minus

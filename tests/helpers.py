@@ -43,6 +43,26 @@ def t_mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
+def char_poly(matrix):
+    """Coefficients of det(x*I - M), highest power first, computed exactly.
+
+    Faddeev-LeVerrier recursion; every division is exact over the integers.
+    """
+    n = len(matrix)
+    coeffs = [1]
+    aux = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = t_mat_mul(matrix, aux)
+        trace = sum(am[i][i] for i in range(n))
+        assert trace % k == 0, "Faddeev-LeVerrier trace not divisible by k"
+        c = -(trace // k)
+        coeffs.append(c)
+        for i in range(n):
+            am[i][i] += c
+        aux = am
+    return tuple(coeffs)
+
+
 def rational_gauss_solve(matrix, vector):
     """Solve M*x = v over Q by plain row reduction; None if inconsistent."""
     rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, vector)]
@@ -150,6 +170,20 @@ def check_snf_invariants(matrix, snf):
         for j in range(len(D[0]) if D else 0):
             if i != j:
                 assert D[i][j] == 0
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in a counter for the rest of the test; the returned
+    list grows by one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import surgeon.d3
+import surgeon.surgery
 from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
@@ -72,6 +74,18 @@ class TestUnknotFamily:
         diagram = unknot_surgery(coeff)
         assert d3_closed_form(diagram) == expected
         assert d3_via_expansion(diagram) == expected
+
+    def test_closed_form_never_expands(self, monkeypatch):
+        # The same family at n = 10**6: the closed form's cost must not
+        # depend on n, so the push-off expansion may not run at all.
+        def refuse(_diagram):
+            raise AssertionError("d3_closed_form expanded the diagram")
+
+        for module in (surgeon.surgery, surgeon.d3):
+            monkeypatch.setattr(module, "expand_to_pm1", refuse)
+        n = 10 ** 6
+        assert d3_closed_form(unknot_surgery(f"+1/{n}")) == 1 - Fraction(n, 4)
+        assert d3_closed_form(unknot_surgery(f"-1/{n}")) == Fraction(n, 4) - Fraction(1, 2)
 
 
 class TestPm1Formula:

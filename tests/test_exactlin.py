@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surgeon.exactlin
 from surgeon import (
-    char_poly,
     kernel_basis,
     minimal_order_solve,
     smith_normal_form,
-    solve_integer,
     solve_rational,
     symmetric_signature,
 )
 
 from helpers import (
+    char_poly,
     check_snf_invariants,
+    count_calls,
     image_set,
     leibniz_det,
     random_int_matrix,
@@ -61,22 +62,25 @@ class TestSmithNormalForm:
 
 class TestSolvers:
     def test_invertible_system(self):
-        result = solve_integer([[0, 1], [1, -2]], [1, 1])
+        result = minimal_order_solve([[0, 1], [1, -2]], [1, 1])
         assert result.particular == (3, 1)
         assert result.kernel_basis == ()
         assert result.order == 1
 
     def test_stabilization_system(self):
-        result = solve_integer([[0, -1], [-1, -3]], [1, 1])
+        result = minimal_order_solve([[0, -1], [-1, -3]], [1, 1])
+        assert result.order == 1
         assert result.particular == (2, -1)
 
     def test_zero_matrix_full_kernel(self):
-        result = solve_integer([[0, 0], [0, 0]], [0, 0])
+        result = minimal_order_solve([[0, 0], [0, 0]], [0, 0])
+        assert result.order == 1
         assert result.particular == (0, 0)
         assert result.kernel_basis == ((1, 0), (0, 1))
 
     def test_unsolvable(self):
-        assert solve_integer([[5]], [2]) is None
+        # 5a = 2 has no integral solution: the minimal order exceeds 1
+        assert minimal_order_solve([[5]], [2]).order != 1
 
     def test_minimal_order_single(self):
         # brute force: smallest d with 2d divisible by 5 is 5
@@ -127,15 +131,9 @@ class TestSolvers:
         assert t_mat_vec(matrix, result.particular) == [d * v for v in vector]
         for kv in result.kernel_basis:
             assert t_mat_vec(matrix, kv) == [0] * nrows
-        integral = solve_integer(matrix, vector)
-        if d == 1:
-            assert integral is not None
-            assert t_mat_vec(matrix, integral.particular) == list(vector)
-        else:
-            assert integral is None
 
     def test_kernel_basis_is_deterministic_hermite(self):
-        basis = kernel_basis([[2, 4, 6]])
+        basis = kernel_basis(smith_normal_form([[2, 4, 6]]))
         assert basis == ((1, 1, -1), (0, 3, -2))
         for v in basis:
             assert t_mat_vec([[2, 4, 6]], v) == [0]
@@ -157,6 +155,23 @@ class TestSolvers:
                 assert d % result.order == 0
             if result.order <= 12 and all(abs(x) <= 12 for x in result.particular):
                 assert result.order in solvable_orders
+
+
+class TestOneFactorizationPerSolve:
+    # a row with a two-dimensional kernel, so the kernel basis is needed too
+    MATRIX = [[2, 4, 6]]
+
+    def test_minimal_order_solve(self, monkeypatch):
+        calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+        assert minimal_order_solve(self.MATRIX, [3]).order == 2
+        assert len(calls) == 1
+
+    def test_solve_rational(self, monkeypatch):
+        calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+        particular, kernel = solve_rational(self.MATRIX, [3])
+        assert t_mat_vec(self.MATRIX, particular) == [3]
+        assert len(kernel) == 2
+        assert len(calls) == 1
 
 
 class TestSignature:

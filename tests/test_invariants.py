@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import surgeon.exactlin
 from surgeon import (
     CompanionKnot,
     ContactCoefficient,
@@ -18,7 +20,9 @@ from surgeon import (
     tb_surgered,
 )
 
-from helpers import random_diagram
+from surgeon.cli import load_diagram
+
+from helpers import count_calls, random_diagram
 
 
 def C(text):
@@ -274,3 +278,12 @@ class TestKindGuards:
             assert report.tb.denominator == 1
             assert report.rot.denominator == 1
             checked += 1
+
+
+def test_report_factors_q_once(monkeypatch):
+    diagram = load_diagram(str(Path(__file__).resolve().parent.parent
+                               / "corpus" / "diagrams" / "rational_order3.json"))
+    calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+    report = invariant_report(diagram, "K")
+    assert (report.order, report.tb) == (3, Fraction(-1, 3))
+    assert len(calls) == 1

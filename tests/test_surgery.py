@@ -5,7 +5,6 @@ from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
     SurgeryDiagram,
-    char_poly,
     diagram_signature,
     expand_to_pm1,
     homology,
@@ -13,7 +12,7 @@ from surgeon import (
     symmetric_signature,
 )
 
-from helpers import poly_mul, random_diagram
+from helpers import char_poly, poly_mul, random_diagram
 
 
 def single(coeff, tb=-1, rot=0):
