@@ -177,6 +177,10 @@ def load_diagram(path: str) -> SurgeryDiagram:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UserError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # An integer literal longer than the interpreter's int_max_str_digits.
+        raise UserError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+                        "the limit for reading integers") from exc
     try:
         return diagram_from_dict(data)
     except UserError as exc:

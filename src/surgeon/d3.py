@@ -13,7 +13,9 @@ and for +-1 coefficients it reduces to the classical
 with q the number of +1 coefficients.  Both are implemented; agreeing on
 every diagram (closed form versus the +-1 formula on the expanded diagram)
 is the central correctness check of this package.  The closed form never
-expands (sigma(Q) comes from diag(m)*Q), so the two share no signature.
+expands (sigma(Q) comes from diag(m)*Q).  The check is independent only when
+some m_i > 1: a +-1 diagram expands to itself, so both values then come
+from the same Q, b and sigma.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.

@@ -5,9 +5,11 @@ and rational solving with kernel bases (one factorization per solve), and
 the exact signature of symmetric integer matrices.
 
 Matrices are sequences of rows of Python integers (Fractions where rational
-input is allowed).  Intermediate entries can grow large during elimination,
-which is why everything runs on arbitrary-precision integers; no floating
-point is used anywhere.
+input is allowed).  Everything runs on arbitrary-precision integers and no
+floating point is used anywhere.  The signature eliminates fraction-free,
+so its intermediates are minors and Hadamard's bound limits their size;
+the Smith normal form carries unreduced transforms whose entries can grow
+far beyond the invariant factors.
 """
 
 from __future__ import annotations
@@ -289,48 +291,50 @@ def solve_rational(matrix: Sequence[Sequence[int]],
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
-    Congruence diagonalization over the rationals: simultaneous row and
-    column operations preserve the signature (Sylvester), so counting pivot
-    signs is exact.  A zero diagonal with a nonzero off-diagonal entry is
-    repaired by adding the offending row and column, which creates a
-    nonzero pivot because the field has characteristic zero.
+    Fraction-free (Bareiss) congruence elimination.  Symmetric swaps bring a
+    nonzero diagonal entry to the pivot; when the whole remaining diagonal
+    is zero, adding a row and column with a nonzero entry in the pivot
+    column creates one (twice that entry), and a zero remaining column
+    counts as a zero eigenvalue.  Each update (p*a_ij - a_it*a_tj) divides
+    exactly by the previous pivot, so every intermediate is a minor of a
+    unimodular congruent of the input and Hadamard's bound limits its bit
+    length.  Each repair adds an untouched row and column, so the entries
+    of that congruent are at most four times the input's.  The t-th Schur
+    pivot is p_t / p_(t-1); by Sylvester its sign is what the signature
+    counts.
     """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n and len(rows[0]) != n:
+    a = _as_rows(matrix)
+    n = len(a)
+    if n and len(a[0]) != n:
         raise ValueError("signature needs a square matrix")
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
 
-    a = [[Fraction(x) for x in row] for row in rows]
     n_plus = n_minus = n_zero = 0
-    for t in range(n):
-        if a[t][t] == 0:
-            swap = next((j for j in range(t + 1, n) if a[j][j] != 0), None)
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            swap = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
             if swap is not None:
-                a[t], a[swap] = a[swap], a[t]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[t], row[swap] = row[swap], row[t]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                other = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
+                other = next((i for i in range(1, len(a)) if a[i][0] != 0), None)
                 if other is None:
                     n_zero += 1
+                    a = [row[1:] for row in a[1:]]
                     continue
-                a[t] = [x + y for x, y in zip(a[t], a[other])]
+                a[0] = [x + y for x, y in zip(a[0], a[other])]
                 for row in a:
-                    row[t] = row[t] + row[other]
-        pivot = a[t][t]
-        if pivot > 0:
+                    row[0] += row[other]
+        pivot, *top = a[0]
+        if (pivot > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
-        for i in range(t + 1, n):
-            if a[i][t] == 0:
-                continue
-            f = a[i][t] / pivot
-            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            for row in a:
-                row[i] = row[i] - f * row[t]
+        a = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = pivot
     return n_plus, n_zero, n_minus

@@ -132,6 +132,66 @@ def descartes_split(coeffs, dim):
     return n_plus, n_zero, n_minus
 
 
+def fraction_signature(matrix):
+    """(n_plus, n_zero, n_minus) of a symmetric integer matrix by congruence
+    diagonalization over the rationals, counting the signs of the pivots.
+
+    A zero diagonal with a nonzero off-diagonal entry is repaired by adding
+    that row and column, which makes a nonzero pivot.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    n_plus = n_minus = n_zero = 0
+    for t in range(n):
+        if a[t][t] == 0:
+            swap = next((j for j in range(t + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[t], a[swap] = a[swap], a[t]
+                for row in a:
+                    row[t], row[swap] = row[swap], row[t]
+            else:
+                other = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
+                if other is None:
+                    n_zero += 1
+                    continue
+                a[t] = [x + y for x, y in zip(a[t], a[other])]
+                for row in a:
+                    row[t] = row[t] + row[other]
+        pivot = a[t][t]
+        if pivot > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        for i in range(t + 1, n):
+            if a[i][t] == 0:
+                continue
+            f = a[i][t] / pivot
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+            for row in a:
+                row[i] = row[i] - f * row[t]
+    return n_plus, n_zero, n_minus
+
+
+def random_symmetric(rng: random.Random, n, family):
+    """A random symmetric n x n integer matrix from one of three families:
+    "sparse" (about 40 % of entries in [-3, 3]), "zero-diagonal" (half the
+    off-diagonal entries in [-2, 2]) and "gram" (B^T diag(+-1) B with B of
+    random rank, so often singular)."""
+    if family == "gram":
+        r = rng.randint(0, n)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        s = [rng.choice((1, -1)) for _ in range(r)]
+        return [[sum(b[t][i] * s[t] * b[t][j] for t in range(r)) for j in range(n)]
+                for i in range(n)]
+    density, bound, off_diagonal = {"sparse": (0.4, 3, 0), "zero-diagonal": (0.5, 2, 1)}[family]
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + off_diagonal, n):
+            if rng.random() < density:
+                matrix[i][j] = matrix[j][i] = rng.randint(-bound, bound)
+    return matrix
+
+
 def image_set(matrix, bound):
     """All values M*a for a in the integer box [-bound, bound]^ncols.
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1
         assert ":2:" in err
+
+    def test_integer_over_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"components": [{"name": "L", "tb": ' + "1" * 5000
+                        + ', "rot": 0, "coeff": "+1"}], "linking": [[0]]}')
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "check", "no_such_file.json")

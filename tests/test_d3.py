@@ -69,6 +69,8 @@ class TestUnknotFamily:
         ("-1", Fraction(-1, 4)),
         ("-1/2", Fraction(0)),
         ("-1/3", Fraction(1, 4)),
+        ("+1/64", Fraction(-15)),
+        ("-1/64", Fraction(31, 2)),
     ])
     def test_closed_form_and_expansion_agree(self, coeff, expected):
         diagram = unknot_surgery(coeff)

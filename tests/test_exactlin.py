@@ -19,9 +19,12 @@ from helpers import (
     char_poly,
     check_snf_invariants,
     count_calls,
+    descartes_split,
+    fraction_signature,
     image_set,
     leibniz_det,
     random_int_matrix,
+    random_symmetric,
     rational_gauss_solve,
     rational_rank,
     t_mat_vec,
@@ -212,6 +215,24 @@ class TestSignature:
             assert n_plus == int(np.sum(eigs > 1e-6))
             assert n_minus == int(np.sum(eigs < -1e-6))
             checked += 1
+
+    @pytest.mark.parametrize("family", ["sparse", "zero-diagonal", "gram"])
+    def test_against_fraction_elimination_and_char_poly(self, family):
+        rng = random.Random(f"signature-{family}")
+        for _ in range(700):
+            n = rng.randint(0, 8)
+            matrix = random_symmetric(rng, n, family)
+            inertia = symmetric_signature(matrix)
+            assert inertia == fraction_signature(matrix)
+            assert inertia == descartes_split(char_poly(matrix), n)
+
+    def test_dense_40(self):
+        rng = random.Random(40)
+        matrix = [[0] * 40 for _ in range(40)]
+        for i in range(40):
+            for j in range(i, 40):
+                matrix[i][j] = matrix[j][i] = rng.randint(-2, 2)
+        assert symmetric_signature(matrix) == fraction_signature(matrix)
 
 
 class TestCharPoly:
