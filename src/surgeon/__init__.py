@@ -14,7 +14,6 @@ from .diagrams import (
 from .exactlin import (
     SNFDecomposition,
     SolveResult,
-    kernel_basis,
     minimal_order_solve,
     smith_normal_form,
     solve_rational,
@@ -72,7 +71,6 @@ __all__ = [
     "expand_to_pm1",
     "homology",
     "invariant_report",
-    "kernel_basis",
     "legendrian_pushoff_sl",
     "linking_matrix",
     "minimal_order_solve",

@@ -181,6 +181,10 @@ def load_diagram(path: str) -> SurgeryDiagram:
         # An integer literal longer than the interpreter's int_max_str_digits.
         raise UserError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits, "
                         "the limit for reading integers") from exc
+    except RecursionError as exc:
+        # The decoder recurses once per nested array or object.
+        raise UserError(f"{path}: arrays or objects nest deeper than the reader's limit of about "
+                        f"{sys.getrecursionlimit()} levels") from exc
     try:
         return diagram_from_dict(data)
     except UserError as exc:

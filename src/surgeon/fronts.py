@@ -52,6 +52,7 @@ components, lk = half the signed count of their mutual crossings.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,7 +183,12 @@ def parse_front(text: str) -> FrontDocument:
                 raise FrontError(f"unrecognized token {word!r}", ln, col)
             if roles and not marker_seen:
                 raise FrontError("missing 'events:' marker after role headers", ln, col)
-            kind, p = m.group(1), int(m.group(2))
+            kind = m.group(1)
+            try:
+                p = int(m.group(2))
+            except ValueError:  # more digits than the interpreter reads into an int
+                raise FrontError(f"position of {kind} has more than {sys.get_int_max_str_digits()} "
+                                 "digits, the limit for reading integers", ln, col) from None
             if kind == "L":
                 if p > strands + 1:
                     raise FrontError(

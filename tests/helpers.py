@@ -7,9 +7,12 @@ never shares a code path with the library it checks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
+from math import lcm
 
 from surgeon import CompanionKnot, ContactCoefficient, LegendrianComponent, SurgeryDiagram
 
@@ -105,6 +108,26 @@ def rational_rank(matrix):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_det(matrix):
+    """Determinant as the signed product of the pivots of plain Gaussian
+    elimination over the rationals (for sizes beyond `leibniz_det`)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
 
 
 def poly_mul(a, b):
@@ -246,6 +269,82 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+class CpuLimitExceeded(AssertionError):
+    """Raised inside a `cpu_limit` block that ran over its CPU time."""
+
+
+@contextlib.contextmanager
+def cpu_limit(seconds):
+    """Fail the enclosed block once it has used `seconds` of CPU time.
+
+    A regression that makes exact arithmetic blow up then fails the test
+    with a message instead of hanging the suite.  Uses ITIMER_PROF and
+    restores the previous timer and SIGPROF handler on exit.
+    """
+    def expire(signum, frame):
+        raise CpuLimitExceeded(f"over the {seconds} s CPU time limit")
+
+    previous_handler = signal.signal(signal.SIGPROF, expire)
+    previous_delay, previous_interval = signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        left, _ = signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous_handler)
+        if previous_delay:
+            used = seconds - left
+            signal.setitimer(signal.ITIMER_PROF, max(previous_delay - used, 1e-6), previous_interval)
+
+
+# ---------------------------------------------------------------------------
+# invariant oracles for diagrams with +-1 coefficients
+
+def t_linking_matrix(diagram):
+    """Q from its definition: m_i*tb_i + s_i on the diagonal, m_j*lk_ij off it."""
+    comps = diagram.components
+    return [[c.coeff.magnitude * c.tb + c.coeff.sign if i == j
+             else comps[j].coeff.magnitude * diagram.linking[i][j]
+             for j in range(len(comps))] for i, c in enumerate(comps)]
+
+
+def oracle_invariants(diagram, name):
+    """(order, tb, rot, sl) of a companion, with None for the values its
+    kind does not have.  Every coefficient must be +-1 and Q invertible
+    (the caller checks det Q != 0; a rank test here would double the cost).
+
+    x = Q^-1 lk by rational elimination; the order is the lcm of the
+    denominators of x, tb_M = tb - <x, lk>, rot_M = rot - <x, rot_i> and
+    sl_M = sl - <x, lk - sign * rot_i>.
+    """
+    assert all(c.coeff.magnitude == 1 for c in diagram.components)
+    q = t_linking_matrix(diagram)
+    knot = diagram.knot(name)
+    x = rational_gauss_solve(q, knot.lk)
+    order = lcm(*(xi.denominator for xi in x))
+    rots = [c.rot for c in diagram.components]
+    if knot.is_legendrian:
+        return (order, knot.tb - sum(xi * li for xi, li in zip(x, knot.lk)),
+                knot.rot - sum(xi * r for xi, r in zip(x, rots)), None)
+    t = knot.transverse_sign
+    return order, None, None, knot.sl - sum(xi * (li - t * r) for xi, li, r in zip(x, knot.lk, rots))
+
+
+def oracle_d3_pm1(diagram):
+    """d3 = (<b, rot> - 3 sigma(Q) - 2k) / 4 - 1/2 + #(+1 coefficients) for
+    a diagram with +-1 coefficients, b from rational elimination and sigma
+    from `fraction_signature`; None when Q*b = rot has no solution."""
+    assert all(c.coeff.magnitude == 1 for c in diagram.components)
+    q = t_linking_matrix(diagram)
+    rot = [c.rot for c in diagram.components]
+    b = rational_gauss_solve(q, rot)
+    if b is None:
+        return None
+    n_plus, _, n_minus = fraction_signature(q)
+    positives = sum(1 for c in diagram.components if c.coeff.sign > 0)
+    pairing = sum(bi * ri for bi, ri in zip(b, rot))
+    return Fraction(pairing - 3 * (n_plus - n_minus) - 2 * len(q)) / 4 - Fraction(1, 2) + positives
+
+
 # ---------------------------------------------------------------------------
 # random diagrams and fronts
 
@@ -269,6 +368,36 @@ def random_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> Sur
             "K", "legendrian", tuple(rng.randint(-2, 2) for _ in range(k)),
             tb=-1, rot=0),)
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), knots)
+
+
+def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:
+    """A dense random +-1 diagram with k components: every linking number
+    in [-2, 2], Legendrian companions K1 and K2 and a transverse T1.  Makes
+    the same draws as the benchmark's dense-link generator, so a seed names
+    the same diagram in both."""
+    def legendrian(tb_range=(-3, 3), rot_bound=3):
+        tb = rng.randint(*tb_range)
+        return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
+
+    components = []
+    for i in range(k):
+        tb, rot = legendrian()
+        coeff = ContactCoefficient(rng.choice((1, -1)), 1)
+        components.append(LegendrianComponent(f"C{i + 1}", tb, rot, coeff))
+    linking = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            linking[i][j] = linking[j][i] = rng.randint(-2, 2)
+    knots = []
+    for name in ("K1", "K2"):
+        tb, rot = legendrian((-3, 1), 2)
+        knots.append(CompanionKnot(name, "legendrian", tuple(rng.randint(-2, 2) for _ in range(k)),
+                                   tb=tb, rot=rot))
+    sl = rng.choice((-5, -3, -1, 1))
+    sign = rng.choice((1, -1))
+    knots.append(CompanionKnot("T1", "transverse", tuple(rng.randint(-2, 2) for _ in range(k)),
+                               sl=sl, transverse_sign=sign))
+    return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), tuple(knots))
 
 
 def random_front_text(rng: random.Random, max_events=14) -> str:

@@ -70,6 +70,13 @@ class TestCheck:
         assert code == 1
         assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
+    def test_nesting_over_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert f"about {sys.getrecursionlimit()} levels" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "check", "no_such_file.json")
         assert code == 1
@@ -206,6 +213,14 @@ class TestFrontCommand:
         code, out, err = run(capsys, "front", str(path))
         assert code == 1
         assert "line 1" in err and "R2" in err
+
+    def test_position_over_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.front"
+        path.write_text("L" + "1" * 5000 + " R1\n")
+        code, out, err = run(capsys, "front", str(path))
+        assert code == 1
+        assert "line 1, column 1" in err
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
     def test_emit_diagram_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "front_diagram.json"

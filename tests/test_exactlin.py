@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import surgeon.exactlin
 from surgeon import (
-    kernel_basis,
+    d3_closed_form,
+    invariant_report,
+    linking_matrix,
     minimal_order_solve,
     smith_normal_form,
     solve_rational,
@@ -19,14 +22,20 @@ from helpers import (
     char_poly,
     check_snf_invariants,
     count_calls,
+    cpu_limit,
+    dense_diagram,
     descartes_split,
+    fraction_det,
     fraction_signature,
     image_set,
     leibniz_det,
+    oracle_d3_pm1,
+    oracle_invariants,
     random_int_matrix,
     random_symmetric,
     rational_gauss_solve,
     rational_rank,
+    t_mat_mul,
     t_mat_vec,
 )
 
@@ -136,7 +145,7 @@ class TestSolvers:
             assert t_mat_vec(matrix, kv) == [0] * nrows
 
     def test_kernel_basis_is_deterministic_hermite(self):
-        basis = kernel_basis(smith_normal_form([[2, 4, 6]]))
+        basis = minimal_order_solve([[2, 4, 6]], [0]).kernel_basis
         assert basis == ((1, 1, -1), (0, 3, -2))
         for v in basis:
             assert t_mat_vec([[2, 4, 6]], v) == [0]
@@ -165,16 +174,100 @@ class TestOneFactorizationPerSolve:
     MATRIX = [[2, 4, 6]]
 
     def test_minimal_order_solve(self, monkeypatch):
-        calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+        calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
         assert minimal_order_solve(self.MATRIX, [3]).order == 2
         assert len(calls) == 1
 
     def test_solve_rational(self, monkeypatch):
-        calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+        calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
         particular, kernel = solve_rational(self.MATRIX, [3])
         assert t_mat_vec(self.MATRIX, particular) == [3]
         assert len(kernel) == 2
         assert len(calls) == 1
+
+
+# The rank-5 matrix on which the earlier pivot ping-pong SNF ran for 38 s
+# (transform entries of 3.6 M bits, invariant factors 1, 1, 1, 1, 1, 0).
+RANK5_6X6 = [[5, 3, -3, 4, -2, -2], [3, 10, 3, -2, -4, -4], [-3, 3, 7, -1, -2, -4],
+             [4, -2, -1, 14, -8, -3], [-2, -4, -2, -8, 20, -6], [-2, -4, -4, -3, -6, 13]]
+# Diagonal (1, 1, 2) is reached only through the divisibility step; fixing
+# it by a row add instead of a column add loops forever on this matrix.
+DIVISIBILITY_5X3 = [[3, -1, 1], [-2, 4, 2], [3, 5, -6], [0, 6, 5], [2, 6, -4]]
+
+
+def check_solvers(matrix, vector, snf):
+    """minimal_order_solve and solve_rational against rational elimination,
+    and the order against the SNF: with w = U*v, M*a = n*v has an integral
+    solution iff every nonzero d_i divides n*w_i."""
+    nrows, ncols = len(matrix), len(matrix[0])
+    result = minimal_order_solve(matrix, vector)
+    rational = rational_gauss_solve(matrix, vector)
+    assert (result is None) == (rational is None)
+    assert (solve_rational(matrix, vector) is None) == (rational is None)
+    if result is None:
+        return
+    assert t_mat_vec(matrix, result.particular) == [result.order * x for x in vector]
+    w = t_mat_vec(snf.U, vector)
+    assert result.order == lcm(*(d // gcd(d, wi) for d, wi in zip(snf.diagonal, w) if d))
+    assert len(result.kernel_basis) == ncols - rational_rank(matrix)
+    for kv in result.kernel_basis:
+        assert t_mat_vec(matrix, kv) == [0] * nrows
+    particular, kernel = solve_rational(matrix, vector)
+    assert t_mat_vec(matrix, particular) == list(vector)
+    assert kernel == result.kernel_basis
+
+
+def check_dense_diagram(diagram, knots):
+    """Invariants, d3 and the SNF of Q for a diagram with invertible Q, the
+    library under a CPU limit and the oracles after it.  U*Q*V = D with
+    |det D| = |det Q| makes U and V unimodular."""
+    q = [list(row) for row in linking_matrix(diagram).entries]
+    with cpu_limit(10):
+        reports = [invariant_report(diagram, name) for name in knots]
+        d3 = d3_closed_form(diagram)
+        snf = smith_normal_form(q)
+    det = fraction_det(q)
+    assert det != 0
+    for report in reports:
+        assert (report.order, report.tb, report.rot, report.sl) == \
+            oracle_invariants(diagram, report.knot)
+    assert d3 == oracle_d3_pm1(diagram)
+    assert t_mat_mul(t_mat_mul([list(r) for r in snf.U], q), [list(r) for r in snf.V]) == \
+        [list(r) for r in snf.D]
+    diag = snf.diagonal
+    assert all(x > 0 for x in diag) and all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert prod(diag) == abs(det)
+    assert all(snf.D[i][j] == 0 for i in range(len(q)) for j in range(len(q)) if i != j)
+
+
+class TestGrowthRegressions:
+    """Inputs on which the earlier SNF's unreduced transforms exploded.
+    The library calls of each case take well under a second; the CPU limit
+    turns a regression into a failure instead of a hang."""
+
+    @pytest.mark.parametrize("matrix,diagonal", [(RANK5_6X6, (1, 1, 1, 1, 1, 0)),
+                                                 (DIVISIBILITY_5X3, (1, 1, 2))],
+                             ids=["rank5-6x6", "divisibility-5x3"])
+    def test_named_matrices(self, matrix, diagonal):
+        rng = random.Random(len(matrix))
+        nrows, ncols = len(matrix), len(matrix[0])
+        vectors = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+        vectors += [t_mat_vec(matrix, [rng.randint(-3, 3) for _ in range(ncols)]) for _ in range(4)]
+        vectors += [[rng.randint(-5, 5) for _ in range(nrows)] for _ in range(4)]
+        with cpu_limit(10):
+            snf = snf_invariants_hold(matrix)
+            for v in vectors:
+                check_solvers(matrix, v, snf)
+        assert snf.diagonal == diagonal
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_k10(self, seed):
+        # seed 0 took 15 s, seeds 1 and 3 more than 20 s under the earlier SNF
+        diagram = dense_diagram(random.Random(seed), 10)
+        check_dense_diagram(diagram, [w.name for w in diagram.knots])
+
+    def test_dense_k50(self):
+        check_dense_diagram(dense_diagram(random.Random(0), 50), ["K1"])
 
 
 class TestSignature:

@@ -283,7 +283,7 @@ class TestKindGuards:
 def test_report_factors_q_once(monkeypatch):
     diagram = load_diagram(str(Path(__file__).resolve().parent.parent
                                / "corpus" / "diagrams" / "rational_order3.json"))
-    calls = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+    calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
     report = invariant_report(diagram, "K")
     assert (report.order, report.tb) == (3, Fraction(-1, 3))
     assert len(calls) == 1
