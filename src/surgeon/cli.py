@@ -69,6 +69,10 @@ def _require_int(value, where: str) -> int:
 def _require_str(value, where: str) -> str:
     if not isinstance(value, str):
         raise UserError(f"{where}: expected a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate from an escape such as "\ud800"
+        raise UserError(f"{where}: {value!r} is not Unicode text (it holds a lone surrogate)") from None
     return value
 
 
@@ -168,11 +172,18 @@ def diagram_to_dict(diagram: SurgeryDiagram) -> dict:
     return data
 
 
-def load_diagram(path: str) -> SurgeryDiagram:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UserError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                        f"at offset {exc.start}") from exc
+
+
+def load_diagram(path: str) -> SurgeryDiagram:
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -340,11 +351,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_front(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UserError(f"{args.file}: {exc.strerror or exc}") from exc
-    try:
-        doc = parse_front(text)
+        doc = parse_front(_read_text(args.file))
         inv = classical_invariants(doc)
         diagram = to_diagram(doc) if args.emit_diagram else None
     except FrontError as exc:

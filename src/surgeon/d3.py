@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .diagrams import SurgeryDiagram
-from .exactlin import solve_rational, symmetric_signature
+from .exactlin import solve_rational
 from .surgery import diagram_signature, expand_to_pm1, linking_matrix
 
 
@@ -78,18 +78,13 @@ def d3_pm1(diagram: SurgeryDiagram) -> Optional[Fraction]:
     """
     if any(c.coeff.magnitude != 1 for c in diagram.components):
         raise ValueError("d3_pm1 requires all coefficients to be +1 or -1; expand the diagram first")
-    q = linking_matrix(diagram)
-    rot = [c.rot for c in diagram.components]
-    solved = solve_rational(q.entries, rot)
-    if solved is None:
+    ec = euler_class(diagram)
+    if not ec.torsion:
         return None
-    b = solved[0]
-    n_plus, _, n_minus = symmetric_signature(q.entries)
-    sigma = n_plus - n_minus
-    k = diagram.k
     positives = sum(1 for c in diagram.components if c.coeff.sign > 0)
-    pairing = sum(bi * ri for bi, ri in zip(b, rot))
-    return Fraction(1, 4) * (pairing - 3 * sigma - 2 * k) - Fraction(1, 2) + positives
+    pairing = sum(b * c.rot for b, c in zip(ec.b, diagram.components))
+    return (Fraction(1, 4) * (pairing - 3 * diagram_signature(diagram) - 2 * diagram.k)
+            - Fraction(1, 2) + positives)
 
 
 def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:

@@ -13,8 +13,12 @@ top.  With `s` strands currently open:
            descending from position p to p+1 has the lesser slope and is
            therefore in front (the over strand); valid for 1 <= p <= s-1.
 
-The strand count starts and ends at zero.  Tracing the events joins the
-strand arcs into closed components, numbered in order of creation.
+The strand count starts and ends at zero.  Each left cusp starts two
+arcs and each right cusp ends two, so every arc runs from a left cusp to a
+right cusp.  A component is traced by one walk that leaves an arc through
+its right cusp, runs back along the partner arc to the partner's left
+cusp, and so on until it returns to its first arc.  Components are
+numbered in order of creation of their first arc.
 
 File grammar (UTF-8, '#' starts a comment running to end of line):
 
@@ -104,13 +108,6 @@ class FrontDocument:
     roles: tuple[ComponentRole, ...]
 
 
-def _tokens(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in re.finditer(r"\S+", body):
-            yield match.group(0), lineno, match.start() + 1
-
-
 def _parse_header(words, lineno: int) -> ComponentRole:
     def fail(msg, col=1):
         raise FrontError(msg, lineno, col)
@@ -122,25 +119,25 @@ def _parse_header(words, lineno: int) -> ComponentRole:
     keyword = words[0][0]
     if keyword == "surgery":
         if len(words) != 4 or words[2][0] != "coeff":
-            fail("expected: surgery <name> coeff <s/m> [reversed]", words[0][2])
+            fail("expected: surgery <name> coeff <s/m> [reversed]", words[0][1])
         try:
             coeff = ContactCoefficient.parse(words[3][0])
         except ValueError as exc:
-            fail(str(exc), words[3][2])
+            fail(str(exc), words[3][1])
         return ComponentRole("surgery", words[1][0], coeff, None, None, rev, lineno)
     if len(words) < 3 or words[2][0] not in (LEGENDRIAN, TRANSVERSE):
         fail("expected: companion <name> legendrian|transverse [positive|negative] [reversed]",
-             words[0][2])
+             words[0][1])
     kind = words[2][0]
     sign = None
     rest = words[3:]
     if kind == TRANSVERSE:
         if not rest or rest[0][0] not in ("positive", "negative"):
-            fail("transverse companion needs 'positive' or 'negative'", words[2][2])
+            fail("transverse companion needs 'positive' or 'negative'", words[2][1])
         sign = 1 if rest[0][0] == "positive" else -1
         rest = rest[1:]
     if rest:
-        fail(f"unexpected token {rest[0][0]!r}", rest[0][2])
+        fail(f"unexpected token {rest[0][0]!r}", rest[0][1])
     return ComponentRole("companion", words[1][0], None, kind, sign, rev, lineno)
 
 
@@ -157,19 +154,16 @@ def parse_front(text: str) -> FrontDocument:
     strands = 0
     last = (1, 1)
 
-    lines: dict[int, list] = {}
-    for tok in _tokens(text):
-        lines.setdefault(tok[1], []).append(tok)
-
-    for lineno in sorted(lines):
-        words = lines[lineno]
-        first = words[0][0]
-        if first in ("surgery", "companion"):
-            if marker_seen or events:
-                raise FrontError("role headers must precede all events", lineno, words[0][2])
-            roles.append(_parse_header(words, lineno))
+    for ln, line in enumerate(text.splitlines(), start=1):
+        words = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+        if not words:
             continue
-        for word, ln, col in words:
+        if words[0][0] in ("surgery", "companion"):
+            if marker_seen or events:
+                raise FrontError("role headers must precede all events", ln, words[0][1])
+            roles.append(_parse_header(words, ln))
+            continue
+        for word, col in words:
             last = (ln, col)
             if word == "events:":
                 if marker_seen:
@@ -221,118 +215,77 @@ class FrontInvariants:
         return len(self.tb)
 
 
-class _Trace:
-    """Resolution of a front document into arcs, cusps and crossings.
-
-    An arc is a maximal left-right monotone strand piece; arcs begin at
-    left cusps and end at right cusps.  Components alternate arcs and
-    cusps in an even cycle, so a consistent direction assignment always
-    exists.
-    """
-
-    def __init__(self, doc: FrontDocument):
-        open_: list[int] = []
-        parent: list[int] = []
-        self.cusps: list[tuple[str, int, int]] = []  # (kind, upper arc, lower arc)
-        self.crossings: list[tuple[int, int]] = []  # (over arc, under arc): over enters on top
-
-        def fresh() -> int:
-            parent.append(len(parent))
-            return len(parent) - 1
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
-
-        for ev in doc.events:
-            i = ev.position - 1
-            if ev.kind == "L":
-                upper, lower = fresh(), fresh()
-                open_[i:i] = [upper, lower]
-                union(upper, lower)
-                self.cusps.append(("L", upper, lower))
-            elif ev.kind == "R":
-                upper = open_.pop(i)
-                lower = open_.pop(i)
-                union(upper, lower)
-                self.cusps.append(("R", upper, lower))
-            else:
-                over, under = open_[i], open_[i + 1]
-                self.crossings.append((over, under))
-                open_[i], open_[i + 1] = under, over
-        assert not open_
-
-        # Components in creation order of their first arc.
-        component_of_root: dict[int, int] = {}
-        self.component: list[int] = []
-        for arc in range(len(parent)):
-            root = find(arc)
-            if root not in component_of_root:
-                component_of_root[root] = len(component_of_root)
-            self.component.append(component_of_root[root])
-        self.n_components = len(component_of_root)
-
-        # Direction of each arc: +1 rightward, -1 leftward.  The traversal
-        # turns around at every cusp, so paired arcs get opposite signs.
-        reversed_flags = [False] * self.n_components
-        for idx, role in enumerate(doc.roles):
-            if idx < self.n_components:
-                reversed_flags[idx] = role.reversed
-        direction = [0] * len(parent)
-        adjacency: dict[int, list[int]] = {a: [] for a in range(len(parent))}
-        for _, upper, lower in self.cusps:
-            adjacency[upper].append(lower)
-            adjacency[lower].append(upper)
-        for comp in range(self.n_components):
-            anchor = next(a for a in range(len(parent)) if self.component[a] == comp)
-            direction[anchor] = -1 if reversed_flags[comp] else 1
-            stack = [anchor]
-            while stack:
-                arc = stack.pop()
-                for other in adjacency[arc]:
-                    if direction[other] == 0:
-                        direction[other] = -direction[arc]
-                        stack.append(other)
-                    else:
-                        assert direction[other] == -direction[arc]
-        self.direction = direction
-
-    def crossing_sign(self, over: int, under: int) -> int:
-        # Over strand descends; parallel traversal makes the frame
-        # (over direction, under direction) positively oriented.
-        return 1 if self.direction[over] == self.direction[under] else -1
-
-
 def classical_invariants(doc: FrontDocument) -> FrontInvariants:
-    """tb and rot per component and all pairwise linking numbers."""
-    trace = _Trace(doc)
-    n = trace.n_components
+    """tb and rot per component and all pairwise linking numbers.
+
+    One sweep over the events numbers the arcs in creation order and
+    records every cusp, every crossing and each arc's partner at its left
+    and at its right cusp.  One walk per component, arc -> right-cusp
+    partner -> left-cusp partner -> ... back to its first arc, then numbers
+    the components and directs the arcs: directions alternate along the
+    walk, and the first arc runs rightward unless the component's header
+    says "reversed".
+    """
+    open_: list[int] = []
+    left: dict[int, int] = {}  # arc -> partner arc at its left cusp
+    right: dict[int, int] = {}  # arc -> partner arc at its right cusp
+    cusps: list[tuple[str, int, int]] = []  # (kind, upper arc, lower arc)
+    crossings: list[tuple[int, int]] = []  # (over arc, under arc): over enters on top
+    for ev in doc.events:
+        i = ev.position - 1
+        if ev.kind == "L":
+            upper, lower = len(left), len(left) + 1
+            open_[i:i] = [upper, lower]
+            left[upper], left[lower] = lower, upper
+            cusps.append(("L", upper, lower))
+        elif ev.kind == "R":
+            upper, lower = open_.pop(i), open_.pop(i)
+            right[upper], right[lower] = lower, upper
+            cusps.append(("R", upper, lower))
+        else:
+            over, under = open_[i], open_[i + 1]
+            crossings.append((over, under))
+            open_[i], open_[i + 1] = under, over
+
+    # Direction of each arc: +1 rightward, -1 leftward.
+    component = [-1] * len(left)
+    direction = [0] * len(left)
+    n = 0
+    for start in range(len(left)):
+        if component[start] >= 0:
+            continue
+        first = -1 if n < len(doc.roles) and doc.roles[n].reversed else 1
+        arc = start
+        while component[arc] < 0:
+            partner = right[arc]
+            component[arc] = component[partner] = n
+            direction[arc], direction[partner] = first, -first
+            arc = left[partner]
+        n += 1
+
     cusp_count = [0] * n
     down = [0] * n
     up = [0] * n
     writhe = [0] * n
     lk2 = [[0] * n for _ in range(n)]
 
-    for kind, upper, lower in trace.cusps:
-        comp = trace.component[upper]
+    for kind, upper, lower in cusps:
+        comp = component[upper]
         cusp_count[comp] += 1
         # Entering arc: the leftward one at a left cusp, the rightward one
         # at a right cusp.  Entering on the upper branch means the strand
         # passes downward through the cusp.
-        entering_upper = trace.direction[upper] == (-1 if kind == "L" else 1)
+        entering_upper = direction[upper] == (-1 if kind == "L" else 1)
         if entering_upper:
             down[comp] += 1
         else:
             up[comp] += 1
 
-    for over, under in trace.crossings:
-        sign = trace.crossing_sign(over, under)
-        a, b = trace.component[over], trace.component[under]
+    for over, under in crossings:
+        # Over strand descends; parallel traversal makes the frame
+        # (over direction, under direction) positively oriented.
+        sign = 1 if direction[over] == direction[under] else -1
+        a, b = component[over], component[under]
         if a == b:
             writhe[a] += sign
         else:

@@ -400,6 +400,77 @@ def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), tuple(knots))
 
 
+def oracle_front_invariants(text):
+    """(tb, rot, linking) of a front document, traced by hand.
+
+    Accepts role header lines (only a trailing "reversed" is read), an
+    optional "events:" marker and event tokens; no comments.  A strand is
+    followed through the event columns: it sits at a position in a gap
+    between two events, moves through the next event in its horizontal
+    direction (shifted by cusps beside it, swapped at a crossing on it)
+    and turns around at a cusp it runs into.  Components start at the
+    upper branch of their first left cusp, heading right (left when the
+    header says "reversed"), and are numbered in that order.
+    """
+    reversed_flags, events = [], []
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] in (["surgery"], ["companion"]):
+            reversed_flags.append(words[-1] == "reversed")
+        else:
+            events += [(w[0], int(w[1:]) - 1) for w in words if w != "events:"]
+
+    seen = set()  # (gap, position) pieces already traced; gap t lies before event t
+    crossing_passes = {}  # event index -> {"over"/"under": (component, direction)}
+    cusps, downs = [], []
+    for t, (kind, p) in enumerate(events):
+        if kind != "L" or (t + 1, p) in seen:
+            continue
+        comp = len(cusps)
+        flip = -1 if comp < len(reversed_flags) and reversed_flags[comp] else 1
+        cusps.append(0)
+        downs.append(0)
+        state = start = (t + 1, p, 1)
+        while True:
+            gap, pos, d = state
+            seen.add((gap, pos))
+            event = gap if d == 1 else gap - 1
+            kind_e, i = events[event]
+            if kind_e == ("R" if d == 1 else "L") and pos in (i, i + 1):
+                # Runs into a cusp: entering on the upper branch in the true
+                # direction of travel means passing downward.
+                cusps[comp] += 1
+                downs[comp] += 1 if (pos == i) == (flip == 1) else -1
+                state = (gap, 2 * i + 1 - pos, -d)
+            else:
+                if kind_e == "X" and pos in (i, i + 1):
+                    over = (pos == i) == (d == 1)
+                    crossing_passes.setdefault(event, {})["over" if over else "under"] = (comp, d * flip)
+                    pos = 2 * i + 1 - pos
+                elif kind_e != "X" and pos >= i:
+                    # A cusp beside the strand: the strands below it shift by two.
+                    grows = (kind_e == "L") == (d == 1)
+                    pos += 2 if grows else -2
+                state = (gap + d, pos, d)
+            if state == start:
+                break
+
+    n = len(cusps)
+    writhe = [0] * n
+    lk2 = [[0] * n for _ in range(n)]
+    for passes in crossing_passes.values():
+        (a, da), (b, db) = passes["over"], passes["under"]
+        sign = 1 if da == db else -1
+        if a == b:
+            writhe[a] += sign
+        else:
+            lk2[a][b] += sign
+            lk2[b][a] += sign
+    tb = tuple(writhe[c] - cusps[c] // 2 for c in range(n))
+    rot = tuple(downs[c] // 2 for c in range(n))
+    return tb, rot, tuple(tuple(x // 2 for x in row) for row in lk2)
+
+
 def random_front_text(rng: random.Random, max_events=14) -> str:
     """A legal random event string; every strand is closed at the end."""
     events = []

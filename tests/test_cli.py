@@ -81,6 +81,26 @@ class TestCheck:
         code, out, err = run(capsys, "check", "no_such_file.json")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["check", "invariants", "d3"])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"components": [], "linking": [], "knots": [{"name": "\xe9"}]}')
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert "internal error" not in err
+        assert f"{path}: not UTF-8 text: byte 0xe9 at offset 54" in err
+
+    def test_lone_surrogate_name_rejected(self, capsys, tmp_path):
+        # json decodes the escape to a str that no UTF-8 stream can print
+        path = tmp_path / "surrogate.json"
+        path.write_text('{"components": [{"name": "L", "tb": -1, "rot": 0, "coeff": "+1"}], '
+                        '"linking": [[0]], "knots": [{"name": "\\ud800", "kind": "legendrian", '
+                        '"tb": -1, "rot": 0, "lk": [1]}]}')
+        for argv in (["check"], ["invariants", "--format", "text"]):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 1
+            assert "knots[0].name" in err and "lone surrogate" in err
+
     def test_warning_keeps_exit_zero(self, capsys, tmp_path):
         payload = {"components": [{"name": "L", "tb": -1, "rot": 1, "coeff": "+1"}],
                    "linking": [[0]]}
@@ -221,6 +241,14 @@ class TestFrontCommand:
         assert code == 1
         assert "line 1, column 1" in err
         assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bom16.front"
+        path.write_bytes(b"\xff\xfeL\x001\x00")
+        code, out, err = run(capsys, "front", str(path))
+        assert code == 1
+        assert "internal error" not in err
+        assert f"{path}: not UTF-8 text: byte 0xff at offset 0" in err
 
     def test_emit_diagram_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "front_diagram.json"

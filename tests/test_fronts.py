@@ -5,7 +5,7 @@ import pytest
 from surgeon import FrontError, classical_invariants, parse_front, to_diagram, validate
 from surgeon.fronts import component_names
 
-from helpers import random_front_text
+from helpers import oracle_front_invariants, random_front_text
 
 UNKNOT = "L1 R1"
 TREFOIL = "L1 L3 X2 X2 X2 R1 R1"
@@ -137,6 +137,27 @@ class TestOrientationBehaviour:
             assert a.tb == b.tb
             assert a.linking == b.linking
             assert a.rot == tuple(-r for r in b.rot)
+
+
+class TestAgainstHandTracing:
+    HEADERS = ("surgery S{} coeff +1", "surgery S{} coeff -1/2", "companion K{} legendrian",
+               "companion T{} transverse positive")
+
+    def test_documented_anchors(self):
+        assert oracle_front_invariants(UNKNOT) == ((-1,), (0,), ((0,),))
+        assert oracle_front_invariants(TREFOIL) == ((1,), (0,), ((0,),))
+        assert oracle_front_invariants(KINK)[0] == (-2,)
+
+    def test_random_fronts_with_headers(self):
+        rng = random.Random(4711)
+        for _ in range(2500):
+            events = random_front_text(rng, rng.randint(2, 40))
+            n_headers = rng.randint(0, 6)
+            headers = [rng.choice(self.HEADERS).format(i) + rng.choice(("", " reversed"))
+                       for i in range(n_headers)]
+            text = "\n".join(headers + ["events:", events]) if headers else events
+            inv = classical_invariants(parse_front(text))
+            assert (inv.tb, inv.rot, inv.linking) == oracle_front_invariants(text), text
 
 
 class TestToDiagram:
