@@ -28,11 +28,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from .d3 import d3_closed_form, d3_via_expansion, euler_class
+from . import d3, fronts, invariants, surgery
 from .diagrams import (
     LEGENDRIAN,
     TRANSVERSE,
@@ -43,9 +42,6 @@ from .diagrams import (
     SurgeryDiagram,
     validate,
 )
-from .fronts import FrontError, classical_invariants, component_names, parse_front, to_diagram
-from .invariants import InvariantReport, invariant_report
-from .surgery import expand_to_pm1, homology, linking_matrix
 
 
 class UserError(Exception):
@@ -56,8 +52,8 @@ class UserError(Exception):
 # serialization
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int or Fraction as "p" or "p/q"."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _require_int(value, where: str) -> int:
@@ -202,7 +198,7 @@ def load_diagram(path: str) -> SurgeryDiagram:
         raise UserError(f"{path}: {exc}") from exc
 
 
-def invariant_report_dict(report: InvariantReport) -> dict:
+def invariant_report_dict(report: invariants.InvariantReport) -> dict:
     if report.order is None:
         return {
             "knot": report.knot,
@@ -234,16 +230,21 @@ def invariant_report_dict(report: InvariantReport) -> dict:
 
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
-    ec = euler_class(diagram)
-    closed = d3_closed_form(diagram)
-    expanded = d3_via_expansion(diagram)
-    hom = homology(linking_matrix(diagram))
+    ec = d3.euler_class(diagram)
+    closed = d3.d3_closed_form(diagram)
+    try:
+        expanded = d3.d3_via_expansion(diagram)
+    except ValueError as exc:  # over surgery.EXPANSION_LIMIT
+        via_expansion = f"skipped: {exc}"
+    else:
+        via_expansion = "undefined" if expanded is None else frac_str(expanded)
+    hom = surgery.homology(surgery.linking_matrix(diagram))
     return {
         "euler_class": list(ec.coefficients),
         "torsion": ec.torsion,
         "b": None if ec.b is None else [frac_str(x) for x in ec.b],
         "d3_closed_form": "undefined" if closed is None else frac_str(closed),
-        "d3_via_expansion": "undefined" if expanded is None else frac_str(expanded),
+        "d3_via_expansion": via_expansion,
         "homology": {
             "invariant_factors": list(hom.invariant_factors),
             "free_rank": hom.free_rank,
@@ -324,7 +325,7 @@ def _cmd_invariants(args) -> int:
                 "--knot is required when the file does not contain exactly one companion knot")
         name = diagram.knots[0].name
     try:
-        report = invariant_report(diagram, name)
+        report = invariants.invariant_report(diagram, name)
     except KeyError:
         known = ", ".join(w.name for w in diagram.knots) or "none"
         raise UserError(f"unknown knot {name!r} (knots in file: {known})") from None
@@ -340,7 +341,10 @@ def _cmd_d3(args) -> int:
 
 def _cmd_expand(args) -> int:
     diagram = _checked_diagram(args.file)
-    expanded = expand_to_pm1(diagram)
+    try:
+        expanded = surgery.expand_to_pm1(diagram)
+    except ValueError as exc:
+        raise UserError(f"{args.file}: {exc}") from exc
     payload = json.dumps(diagram_to_dict(expanded), indent=2) + "\n"
     try:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -351,13 +355,13 @@ def _cmd_expand(args) -> int:
 
 def _cmd_front(args) -> int:
     try:
-        doc = parse_front(_read_text(args.file))
-        inv = classical_invariants(doc)
-        diagram = to_diagram(doc) if args.emit_diagram else None
-    except FrontError as exc:
+        doc = fronts.parse_front(_read_text(args.file))
+        inv = fronts.classical_invariants(doc)
+        diagram = fronts.to_diagram(doc) if args.emit_diagram else None
+    except fronts.FrontError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
 
-    names = component_names(doc, inv.n_components)
+    names = fronts.component_names(doc, inv.n_components)
     if args.format == "json":
         data = {
             "components": [

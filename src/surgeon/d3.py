@@ -88,5 +88,9 @@ def d3_pm1(diagram: SurgeryDiagram) -> Optional[Fraction]:
 
 
 def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:
-    """d3 computed by expanding to a +-1 diagram first."""
+    """d3 computed by expanding to a +-1 diagram first.
+
+    Raises ValueError when the expansion would have more than
+    surgery.EXPANSION_LIMIT components.
+    """
     return d3_pm1(expand_to_pm1(diagram))

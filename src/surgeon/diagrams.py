@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 _COEFF_RE = re.compile(r"^([+-])1(?:/([1-9][0-9]*))?$")
@@ -209,5 +208,4 @@ def topological_coefficient(component: LegendrianComponent) -> tuple[int, int]:
     """
     m = component.coeff.magnitude
     p = m * component.tb + component.coeff.sign
-    assert p == 0 or gcd(abs(p), m) == 1
     return p, m

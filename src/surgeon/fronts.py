@@ -20,7 +20,8 @@ its right cusp, runs back along the partner arc to the partner's left
 cusp, and so on until it returns to its first arc.  Components are
 numbered in order of creation of their first arc.
 
-File grammar (UTF-8, '#' starts a comment running to end of line):
+File grammar (UTF-8, '#' starts a comment running to end of line; lines
+end at "\n", "\r\n" or "\r", and any other whitespace separates tokens):
 
     document  := header* events-marker? event*
     header    := "surgery" NAME "coeff" COEFF ["reversed"]
@@ -154,7 +155,7 @@ def parse_front(text: str) -> FrontDocument:
     strands = 0
     last = (1, 1)
 
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         words = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
         if not words:
             continue
@@ -215,16 +216,21 @@ class FrontInvariants:
         return len(self.tb)
 
 
-def classical_invariants(doc: FrontDocument) -> FrontInvariants:
-    """tb and rot per component and all pairwise linking numbers.
+def _trace(doc: FrontDocument):
+    """Cusps, crossings, and each arc's component and direction.
 
-    One sweep over the events numbers the arcs in creation order and
-    records every cusp, every crossing and each arc's partner at its left
-    and at its right cusp.  One walk per component, arc -> right-cusp
-    partner -> left-cusp partner -> ... back to its first arc, then numbers
-    the components and directs the arcs: directions alternate along the
-    walk, and the first arc runs rightward unless the component's header
-    says "reversed".
+    One sweep over the events numbers the arcs in creation order (the
+    j-th left cusp starts arcs 2j and 2j+1) and records every cusp, every
+    crossing and each arc's partner at its left and at its right cusp.
+    One walk per component, arc -> right-cusp partner -> left-cusp
+    partner -> ... back to its first arc, then numbers the components and
+    directs the arcs: directions alternate along the walk, and the first
+    arc runs rightward unless the component's header says "reversed".
+
+    Returns (cusps, crossings, component, direction, starts): cusps as
+    (kind, upper arc, lower arc), crossings as (over arc, under arc), per
+    arc its component and direction (+1 rightward, -1 leftward), and per
+    component its first arc.
     """
     open_: list[int] = []
     left: dict[int, int] = {}  # arc -> partner arc at its left cusp
@@ -247,13 +253,13 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
             crossings.append((over, under))
             open_[i], open_[i + 1] = under, over
 
-    # Direction of each arc: +1 rightward, -1 leftward.
     component = [-1] * len(left)
     direction = [0] * len(left)
-    n = 0
+    starts: list[int] = []
     for start in range(len(left)):
         if component[start] >= 0:
             continue
+        n = len(starts)
         first = -1 if n < len(doc.roles) and doc.roles[n].reversed else 1
         arc = start
         while component[arc] < 0:
@@ -261,8 +267,14 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
             component[arc] = component[partner] = n
             direction[arc], direction[partner] = first, -first
             arc = left[partner]
-        n += 1
+        starts.append(start)
+    return cusps, crossings, component, direction, starts
 
+
+def classical_invariants(doc: FrontDocument) -> FrontInvariants:
+    """tb and rot per component and all pairwise linking numbers."""
+    cusps, crossings, component, direction, starts = _trace(doc)
+    n = len(starts)
     cusp_count = [0] * n
     down = [0] * n
     up = [0] * n
@@ -292,8 +304,10 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
             lk2[a][b] += sign
             lk2[b][a] += sign
 
-    assert all(c % 2 == 0 for c in cusp_count)
-    assert all(lk2[a][b] % 2 == 0 for a in range(n) for b in range(n))
+    # A closed component has as many cusps as arcs, an even number, and two
+    # closed components cross an even number of times.
+    if any(c % 2 for c in cusp_count) or any(x % 2 for row in lk2 for x in row):
+        raise RuntimeError("odd cusp or mutual crossing count: the front tracing is inconsistent")
     tb = tuple(writhe[c] - cusp_count[c] // 2 for c in range(n))
     rot = tuple((down[c] - up[c]) // 2 for c in range(n))
     linking = tuple(tuple(lk2[a][b] // 2 for b in range(n)) for a in range(n))
@@ -319,9 +333,11 @@ def to_diagram(doc: FrontDocument) -> SurgeryDiagram:
     inv = classical_invariants(doc)
     n = inv.n_components
     if len(doc.roles) < n:
+        *_, starts = _trace(doc)
+        first_event = [ev for ev in doc.events if ev.kind == "L"][starts[len(doc.roles)] // 2]
         raise FrontError(
             f"component {len(doc.roles) + 1} has no role header (missing coefficient or companion marker)",
-            1, 1)
+            first_event.line, first_event.column)
     if len(doc.roles) > n:
         extra = doc.roles[n]
         raise FrontError(

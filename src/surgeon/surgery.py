@@ -13,6 +13,12 @@ from dataclasses import dataclass, replace
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
 from .exactlin import Matrix, smith_normal_form, symmetric_signature
 
+# Largest number of components `expand_to_pm1` builds, i.e. the largest sum
+# of the coefficient magnitudes m it expands.  The expanded linking matrix
+# is dense, and the d3 cross-check on it costs about eight times more per
+# doubling of Sum(m); the closed forms never expand.
+EXPANSION_LIMIT = 128
+
 
 @dataclass(frozen=True)
 class GeneralizedLinkingMatrix:
@@ -72,10 +78,16 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
     number, and companion lk entries are repeated per copy.
 
     Diagrams that already carry only +-1 coefficients are returned
-    unchanged; otherwise copy j of component X is renamed "X.j".
+    unchanged; otherwise copy j of component X is renamed "X.j".  Raises
+    ValueError, naming the limit, when the expansion would have more than
+    EXPANSION_LIMIT components.
     """
     if all(c.coeff.magnitude == 1 for c in diagram.components):
         return diagram
+    size = sum(c.coeff.magnitude for c in diagram.components)
+    if size > EXPANSION_LIMIT:
+        raise ValueError(f"the expansion would have {size} components, more than the limit of "
+                         f"{EXPANSION_LIMIT}")
 
     components: list[LegendrianComponent] = []
     origin: list[int] = []  # index of the original component per copy

@@ -7,7 +7,7 @@ import pytest
 
 from surgeon.cli import diagram_from_dict, diagram_to_dict, frac_str, main
 
-from helpers import random_diagram
+from helpers import cpu_limit, random_diagram
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 DIAGRAMS = CORPUS / "diagrams"
@@ -183,6 +183,19 @@ class TestD3Command:
         data = json.loads(out)
         assert data["d3_closed_form"] == "-1/2"
 
+    def test_cross_check_skipped_over_expansion_limit(self, capsys, tmp_path):
+        # Expanding +1/100000 would build a 100000 x 100000 linking matrix.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"components": [
+            {"name": "U", "tb": -1, "rot": 0, "coeff": "+1/100000"}], "linking": [[0]]}))
+        with cpu_limit(5):
+            code, out, _ = run(capsys, "d3", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["d3_closed_form"] == "-24999"
+        assert data["d3_via_expansion"].startswith("skipped: ")
+        assert "limit of 128" in data["d3_via_expansion"]
+
 
 class TestExpandCommand:
     def test_expansion_roundtrips_through_check(self, capsys, tmp_path):
@@ -205,6 +218,16 @@ class TestExpandCommand:
         run(capsys, "expand", str(src), str(out_path))
         data = json.loads(out_path.read_text())
         assert [c["name"] for c in data["components"]] == ["L.1", "L.2", "L.3"]
+
+    def test_over_expansion_limit_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"components": [
+            {"name": "U", "tb": -1, "rot": 0, "coeff": "-1/129"}], "linking": [[0]]}))
+        out_path = tmp_path / "expanded.json"
+        code, _, err = run(capsys, "expand", str(path), str(out_path))
+        assert code == 1
+        assert "more than the limit of 128" in err
+        assert not out_path.exists()
 
     def test_pm1_file_unchanged(self, capsys, tmp_path):
         out_path = tmp_path / "expanded.json"

@@ -35,6 +35,15 @@ class TestParser:
         assert excinfo.value.line == 2
         assert excinfo.value.column == 4
 
+    def test_lines_break_only_at_newlines(self):
+        # A vertical tab separates tokens but does not end the line.
+        with pytest.raises(FrontError) as excinfo:
+            parse_front("L1 R1\x0bq")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 7)
+        with pytest.raises(FrontError) as excinfo:
+            parse_front("L1 R1\r\nL1\rL1 q")
+        assert (excinfo.value.line, excinfo.value.column) == (3, 4)
+
     def test_comments_and_blank_lines(self):
         doc = parse_front("# a comment\n\nL1 R1  # trailing\n")
         assert len(doc.events) == 2
@@ -185,6 +194,14 @@ class TestToDiagram:
     def test_missing_role(self):
         with pytest.raises(FrontError, match="no role header"):
             to_diagram(parse_front("surgery S coeff +1\nevents:\nL1 R1 L1 R1"))
+
+    def test_missing_role_points_at_its_component(self):
+        # The unheaded component is the second; its first event is the
+        # third left cusp, after the trefoil's two.
+        text = "surgery S coeff +1\nevents:\nL1 L3 X2 X2 X2 R1 R1\n  L1 R1\n"
+        with pytest.raises(FrontError, match="component 2 has no role header") as excinfo:
+            to_diagram(parse_front(text))
+        assert (excinfo.value.line, excinfo.value.column) == (4, 3)
 
     def test_extra_role(self):
         with pytest.raises(FrontError, match="no matching component"):

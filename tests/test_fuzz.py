@@ -1,13 +1,9 @@
 """Exit-code fuzzing of the command line.
 
-Whatever the input file holds, `surgeon front`, `check` and `invariants`
-exit 0 or 1 and never report an internal error (exit 2).  The commands run
-in-process through `cli.main`, with stdout a strict UTF-8 stream and
-stderr a backslash-escaping one, as in a UTF-8 terminal.
-
-`d3` and `expand` are left out on purpose: both expand every 1/m
-coefficient into m copies, and m has no limit yet, so a fuzzer would only
-rediscover that known hang (ROADMAP item 3) instead of new exit codes.
+Whatever the input file holds, `surgeon front`, `check`, `invariants`,
+`d3` and `expand` exit 0 or 1 and never report an internal error (exit 2).
+The commands run in-process through `cli.main`, with stdout a strict UTF-8
+stream and stderr a backslash-escaping one, as in a UTF-8 terminal.
 """
 
 import contextlib
@@ -83,7 +79,7 @@ def test_front_exit_codes(workdir, body, fmt, emit):
 
 
 # ---------------------------------------------------------------------------
-# surgeon check and invariants
+# surgeon check, invariants, d3 and expand
 
 SCHEMA_KEYS = ["components", "linking", "knots", "name", "tb", "rot", "coeff", "kind", "lk",
                "sl", "sign"]
@@ -136,7 +132,8 @@ def _diagram_commands(path, data, names=()):
     knot = data.draw(st.sampled_from([None, "nope", *names, *names]))
     fmt = data.draw(st.sampled_from(["json", "text"]))
     invariants = ["invariants", str(path), "--format", fmt] + (["--knot", knot] if knot else [])
-    return [["check", str(path)], invariants]
+    return [["check", str(path)], invariants, ["d3", str(path), "--format", fmt],
+            ["expand", str(path), str(path.with_name("expanded.json"))]]
 
 
 @FUZZ

@@ -1,0 +1,109 @@
+"""The import contract of the package.
+
+`import surgeon.cli` runs only `cli` and `diagrams`.  The other five
+layers are registered in `sys.modules` as lazy modules and run on first
+use, so code that looks a layer up there, such as the benchmark's span
+tracer, finds all seven.  The import checks run in a fresh interpreter,
+because this test session has long since loaded every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import surgeon
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_FILE = ROOT / "corpus" / "diagrams" / "trefoil_chain_rot2.json"
+LAZY = ("d3", "exactlin", "fronts", "invariants", "surgery")
+
+PUBLIC = """
+    CompanionKnot ContactCoefficient Diagnostic EulerClassVector FrontDocument FrontError
+    FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
+    LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
+    d3_closed_form d3_pm1 d3_via_expansion diagram_signature euler_class expand_to_pm1 homology
+    invariant_report legendrian_pushoff_sl linking_matrix minimal_order_solve
+    order_and_solution parse_front rot_surgered sl_surgered smith_normal_form solve_rational
+    symmetric_signature tb_surgered to_diagram topological_coefficient validate
+""".split()
+
+# Prints, as JSON, the layers missing from sys.modules, the lazy layers
+# whose code has run (a module's own names appear in its namespace only
+# then; object.__getattribute__ reads it without loading the module), and
+# whether `fractions` is imported.
+STATE = f"""
+    def state():
+        import sys
+        layers = ("cli", "diagrams") + {LAZY!r}
+        missing = [l for l in layers if "surgeon." + l not in sys.modules]
+        ran = [l for l in {LAZY!r} if l not in missing and any(
+            not k.startswith("__")
+            for k in object.__getattribute__(sys.modules["surgeon." + l], "__dict__"))]
+        return {{"missing": missing, "ran": ran, "fractions": "fractions" in sys.modules}}
+"""
+
+
+def run_fresh(body: str) -> dict:
+    """Run `body` in a fresh interpreter; return the JSON of its last line."""
+    paths = [str(ROOT / "src"), str(ROOT / "bench")] + [os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = textwrap.dedent(STATE) + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_cli_runs_no_other_layer():
+    result = run_fresh("""
+        import json
+        import surgeon.cli
+        print(json.dumps(state()))
+    """)
+    assert result == {"missing": [], "ran": [], "fractions": False}
+
+
+def test_check_command_runs_no_other_layer():
+    result = run_fresh(f"""
+        import json
+        from surgeon.cli import main
+        assert main(["check", {str(CHECKED_FILE)!r}]) == 0
+        print(json.dumps(state()))
+    """)
+    assert result == {"missing": [], "ran": [], "fractions": False}
+
+
+def test_tracer_installs_on_lazy_layers():
+    # The tracer reads every layer's vars(), which loads it, and the cli
+    # then calls the wrapped functions through the layer modules.
+    result = run_fresh(f"""
+        import json
+        import surgeon.cli
+        from tracer import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        tracer.begin_op(0)
+        assert surgeon.cli.main(["d3", {str(CHECKED_FILE)!r}]) == 0
+        tracer.end_op()
+        tracer.uninstall()
+        print(json.dumps(dict(state(), spans=sorted({{span[3] for span in tracer.spans}}))))
+    """)
+    assert result["missing"] == []
+    assert result["ran"] == list(LAZY)
+    assert {"cli.main", "d3.euler_class", "exactlin.solve_rational", "surgery.homology",
+            "exactlin.smith_normal_form"} <= set(result["spans"])
+
+
+def test_public_names_resolve_to_their_definitions():
+    assert surgeon.__all__ == PUBLIC
+    listed = dir(surgeon)
+    for name in surgeon.__all__:
+        obj = getattr(surgeon, name)
+        assert obj.__module__.startswith("surgeon.")
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
+        assert name in listed
+    assert not hasattr(surgeon, "no_such_name")

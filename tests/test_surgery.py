@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from surgeon import (
     CompanionKnot,
     ContactCoefficient,
@@ -11,6 +13,7 @@ from surgeon import (
     linking_matrix,
     symmetric_signature,
 )
+from surgeon.surgery import EXPANSION_LIMIT
 
 from helpers import char_poly, poly_mul, random_diagram
 
@@ -91,6 +94,11 @@ class TestExpansion:
     def test_copy_count_and_names(self):
         expanded = expand_to_pm1(single("+1/3"))
         assert [c.name for c in expanded.components] == ["L.1", "L.2", "L.3"]
+
+    def test_expansion_limit(self):
+        assert expand_to_pm1(single(f"-1/{EXPANSION_LIMIT}")).k == EXPANSION_LIMIT
+        with pytest.raises(ValueError, match=f"more than the limit of {EXPANSION_LIMIT}"):
+            expand_to_pm1(single(f"-1/{EXPANSION_LIMIT + 1}"))
 
     def test_knot_lk_repeats(self):
         diagram = SurgeryDiagram(
