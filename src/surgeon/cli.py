@@ -233,11 +233,14 @@ def d3_report_dict(diagram: SurgeryDiagram) -> dict:
     ec = d3.euler_class(diagram)
     closed = d3.d3_closed_form(diagram)
     try:
-        expanded = d3.d3_via_expansion(diagram)
+        expanded = surgery.expand_to_pm1(diagram)
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT
         via_expansion = f"skipped: {exc}"
     else:
-        via_expansion = "undefined" if expanded is None else frac_str(expanded)
+        # d3.d3_via_expansion, reusing the closed form when a +-1 diagram
+        # expands to itself.
+        cross = closed if expanded is diagram else d3.d3_closed_form(expanded)
+        via_expansion = "undefined" if cross is None else frac_str(cross)
     hom = surgery.homology(surgery.linking_matrix(diagram))
     return {
         "euler_class": list(ec.coefficients),
@@ -345,6 +348,10 @@ def _cmd_expand(args) -> int:
         expanded = surgery.expand_to_pm1(diagram)
     except ValueError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
+    # A copy "X.j" may take the name of a companion knot.
+    errors = [d.message for d in validate(expanded) if d.severity == "error"]
+    if errors:
+        raise UserError(f"{args.file}: the expanded diagram would be invalid: {'; '.join(errors)}")
     payload = json.dumps(diagram_to_dict(expanded), indent=2) + "\n"
     try:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -357,11 +364,11 @@ def _cmd_front(args) -> int:
     try:
         doc = fronts.parse_front(_read_text(args.file))
         inv = fronts.classical_invariants(doc)
+        names = fronts.component_names(doc, inv.n_components)
         diagram = fronts.to_diagram(doc) if args.emit_diagram else None
     except fronts.FrontError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
 
-    names = fronts.component_names(doc, inv.n_components)
     if args.format == "json":
         data = {
             "components": [

@@ -6,16 +6,14 @@ closed form in terms of any rational solution b of Q*b = rot:
 
     d3 = 1/4 * sum_i (m_i b_i rot_i + (3 - m_i) s_i) - 3/4 sigma(Q) - 1/2
 
-and for +-1 coefficients it reduces to the classical
-
-    d3 = 1/4 * (<b, rot> - 3 sigma(Q) - 2k) - 1/2 + q
-
-with q the number of +1 coefficients.  Both are implemented; agreeing on
-every diagram (closed form versus the +-1 formula on the expanded diagram)
-is the central correctness check of this package.  The closed form never
-expands (sigma(Q) comes from diag(m)*Q).  The check is independent only when
-some m_i > 1: a +-1 diagram expands to itself, so both values then come
-from the same Q, b and sigma.
+This is the only d3 formula here.  With every m_i = 1 it is the classical
+formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
+- 1/2 + q with q the number of +1 coefficients.  The closed form never
+expands (sigma(Q) comes from diag(m)*Q).  The central correctness check of
+this package evaluates it again on the +-1 expansion, where it is the
+classical formula.  That check is independent only when some m_i > 1: a
++-1 diagram expands to itself, so both values come from the same Q, b and
+sigma.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.
@@ -71,26 +69,11 @@ def d3_closed_form(diagram: SurgeryDiagram) -> Optional[Fraction]:
     return total / 4 - Fraction(3, 4) * diagram_signature(diagram) - Fraction(1, 2)
 
 
-def d3_pm1(diagram: SurgeryDiagram) -> Optional[Fraction]:
-    """d3 computed by the formula for +-1 coefficient diagrams.
-
-    Rejects diagrams with any coefficient magnitude above 1; expand first.
-    """
-    if any(c.coeff.magnitude != 1 for c in diagram.components):
-        raise ValueError("d3_pm1 requires all coefficients to be +1 or -1; expand the diagram first")
-    ec = euler_class(diagram)
-    if not ec.torsion:
-        return None
-    positives = sum(1 for c in diagram.components if c.coeff.sign > 0)
-    pairing = sum(b * c.rot for b, c in zip(ec.b, diagram.components))
-    return (Fraction(1, 4) * (pairing - 3 * diagram_signature(diagram) - 2 * diagram.k)
-            - Fraction(1, 2) + positives)
-
-
 def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:
-    """d3 computed by expanding to a +-1 diagram first.
+    """d3 by the closed form on the diagram's +-1 expansion, where it is
+    the classical +-1 formula.
 
     Raises ValueError when the expansion would have more than
     surgery.EXPANSION_LIMIT components.
     """
-    return d3_pm1(expand_to_pm1(diagram))
+    return d3_closed_form(expand_to_pm1(diagram))

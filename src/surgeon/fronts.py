@@ -315,11 +315,17 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
 
 
 def component_names(doc: FrontDocument, n_components: int) -> tuple[str, ...]:
-    """Display names: header names where declared, K<i> otherwise."""
-    names = []
-    for i in range(n_components):
-        names.append(doc.roles[i].name if i < len(doc.roles) else f"K{i + 1}")
-    return tuple(names)
+    """Display names: header names where declared, K<i> otherwise.
+
+    Raises FrontError at a role header beyond the last component.
+    """
+    if len(doc.roles) > n_components:
+        extra = doc.roles[n_components]
+        raise FrontError(
+            f"role header {extra.name!r} has no matching component (document has {n_components})",
+            extra.line, 1)
+    return tuple(doc.roles[i].name if i < len(doc.roles) else f"K{i + 1}"
+                 for i in range(n_components))
 
 
 def to_diagram(doc: FrontDocument) -> SurgeryDiagram:
@@ -332,17 +338,13 @@ def to_diagram(doc: FrontDocument) -> SurgeryDiagram:
     """
     inv = classical_invariants(doc)
     n = inv.n_components
+    component_names(doc, n)  # rejects a role header beyond the last component
     if len(doc.roles) < n:
         *_, starts = _trace(doc)
         first_event = [ev for ev in doc.events if ev.kind == "L"][starts[len(doc.roles)] // 2]
         raise FrontError(
             f"component {len(doc.roles) + 1} has no role header (missing coefficient or companion marker)",
             first_event.line, first_event.column)
-    if len(doc.roles) > n:
-        extra = doc.roles[n]
-        raise FrontError(
-            f"role header {extra.name!r} has no matching component (document has {n})",
-            extra.line, 1)
 
     surgery_idx = [i for i, r in enumerate(doc.roles) if r.role == "surgery"]
     components = tuple(

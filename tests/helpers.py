@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -368,6 +369,34 @@ def random_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> Sur
             "K", "legendrian", tuple(rng.randint(-2, 2) for _ in range(k)),
             tb=-1, rot=0),)
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), knots)
+
+
+def singular_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> SurgeryDiagram:
+    """A random diagram whose linking matrix Q has det Q = 0.
+
+    det Q is affine in the last diagonal entry m*tb + s, so the last tb is
+    solved for from two `fraction_det` calls (the rot keeps tb + rot odd);
+    a draw with no integer solution is redrawn.  `random_diagram` gives a
+    singular Q about once in 300 draws.
+    """
+    while True:
+        diagram = random_diagram(rng, k_max, m_max, with_knot)
+        q = t_linking_matrix(diagram)
+        q[-1][-1] = 0
+        rest = fraction_det(q)
+        minor = fraction_det([row[:-1] for row in q[:-1]])
+        if minor == 0:
+            if rest == 0:
+                return diagram
+            continue
+        last = diagram.components[-1]
+        diagonal = -Fraction(rest) / minor  # m*tb + s
+        if diagonal.denominator != 1 or (diagonal.numerator - last.coeff.sign) % last.coeff.magnitude:
+            continue
+        tb = (diagonal.numerator - last.coeff.sign) // last.coeff.magnitude
+        rot = last.rot if (tb + last.rot) % 2 else last.rot + rng.choice((1, -1))
+        components = diagram.components[:-1] + (replace(last, tb=tb, rot=rot),)
+        return replace(diagram, components=components)
 
 
 def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import surgeon.d3
+import surgeon.surgery
 from surgeon.cli import diagram_from_dict, diagram_to_dict, frac_str, main
 
-from helpers import cpu_limit, random_diagram
+from helpers import count_calls, cpu_limit, random_diagram
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 DIAGRAMS = CORPUS / "diagrams"
@@ -196,6 +198,22 @@ class TestD3Command:
         assert data["d3_via_expansion"].startswith("skipped: ")
         assert "limit of 128" in data["d3_via_expansion"]
 
+    @pytest.mark.parametrize("name,solves,signatures", [
+        # A +-1 diagram expands to itself: the cross-check is the closed form.
+        ("trefoil_chain_rot2.json", 2, 1),
+        # Some m > 1: the closed form runs again on the expansion.
+        ("unknot_plus1_over_2.json", 3, 2),
+    ])
+    def test_cross_check_work(self, capsys, monkeypatch, name, solves, signatures):
+        solved = count_calls(monkeypatch, surgeon.d3, "solve_rational")
+        signed = count_calls(monkeypatch, surgeon.surgery, "symmetric_signature")
+        code, out, _ = run(capsys, "d3", str(DIAGRAMS / name))
+        assert code == 0
+        data = json.loads(out)
+        assert data["torsion"] is True
+        assert data["d3_via_expansion"] == data["d3_closed_form"]
+        assert (len(solved), len(signed)) == (solves, signatures)
+
 
 class TestExpandCommand:
     def test_expansion_roundtrips_through_check(self, capsys, tmp_path):
@@ -228,6 +246,24 @@ class TestExpandCommand:
         assert code == 1
         assert "more than the limit of 128" in err
         assert not out_path.exists()
+
+    def test_copy_name_taken_by_a_knot_exits_one(self, capsys, tmp_path):
+        # Copy 1 of A is named "A.1", the companion's name; the written file
+        # would fail `check`.
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({
+            "components": [{"name": "A", "tb": -1, "rot": 0, "coeff": "+1/2"}],
+            "linking": [[0]],
+            "knots": [{"name": "A.1", "kind": "legendrian", "tb": -1, "rot": 0, "lk": [1]}]}))
+        assert run(capsys, "check", str(path))[0] == 0
+        out_path = tmp_path / "expanded.json"
+        code, _, err = run(capsys, "expand", str(path), str(out_path))
+        assert code == 1
+        assert "duplicate name 'A.1'" in err
+        assert not out_path.exists()
+        code, out, _ = run(capsys, "d3", str(path))
+        assert code == 0
+        assert json.loads(out)["d3_via_expansion"] == json.loads(out)["d3_closed_form"] == "1/2"
 
     def test_pm1_file_unchanged(self, capsys, tmp_path):
         out_path = tmp_path / "expanded.json"
@@ -272,6 +308,19 @@ class TestFrontCommand:
         assert code == 1
         assert "internal error" not in err
         assert f"{path}: not UTF-8 text: byte 0xff at offset 0" in err
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_extra_role_header_rejected(self, capsys, tmp_path, emit):
+        path = tmp_path / "extra.front"
+        path.write_text("surgery A coeff +1\nsurgery B coeff -1\nevents:\nL1 R1\n")
+        out_path = tmp_path / "diagram.json"
+        argv = ["front", str(path)] + (["--emit-diagram", str(out_path)] if emit else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert (f"{path}: line 2, column 1: role header 'B' has no matching component "
+                "(document has 1)") in err
+        assert not out_path.exists()
 
     def test_emit_diagram_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "front_diagram.json"

@@ -10,7 +10,6 @@ from surgeon import (
     LegendrianComponent,
     SurgeryDiagram,
     d3_closed_form,
-    d3_pm1,
     d3_via_expansion,
     euler_class,
     expand_to_pm1,
@@ -18,7 +17,7 @@ from surgeon import (
     solve_rational,
 )
 
-from helpers import random_diagram
+from helpers import oracle_d3_pm1, random_diagram, singular_diagram
 
 
 def unknot_surgery(coeff):
@@ -91,26 +90,28 @@ class TestUnknotFamily:
 
 
 class TestPm1Formula:
-    def test_rejects_higher_magnitudes(self):
-        with pytest.raises(ValueError):
-            d3_pm1(unknot_surgery("+1/2"))
+    """The classical +-1 formula, by the independent oracle, against the
+    closed form, which must reduce to it when every m_i = 1."""
 
     def test_plus_one_unknot(self):
         # Q = [0], sigma = 0, k = 1, one +1 coefficient
-        assert d3_pm1(unknot_surgery("+1")) == 0
+        assert oracle_d3_pm1(unknot_surgery("+1")) == 0
+        assert d3_closed_form(unknot_surgery("+1")) == 0
 
     def test_expanded_plus_half(self):
         expanded = expand_to_pm1(unknot_surgery("+1/2"))
         assert linking_matrix(expanded).entries == ((0, -1), (-1, 0))
-        assert d3_pm1(expanded) == Fraction(1, 2)
+        assert oracle_d3_pm1(expanded) == Fraction(1, 2)
+        assert d3_closed_form(expanded) == Fraction(1, 2)
 
     def test_expanded_minus_half(self):
         expanded = expand_to_pm1(unknot_surgery("-1/2"))
         assert linking_matrix(expanded).entries == ((-2, -1), (-1, -2))
-        assert d3_pm1(expanded) == 0
+        assert oracle_d3_pm1(expanded) == 0
+        assert d3_closed_form(expanded) == 0
 
     def test_empty_diagram_is_standard_tight_sphere(self):
-        assert d3_pm1(SurgeryDiagram((), ())) == Fraction(-1, 2)
+        assert oracle_d3_pm1(SurgeryDiagram((), ())) == Fraction(-1, 2)
         assert d3_closed_form(SurgeryDiagram((), ())) == Fraction(-1, 2)
 
 
@@ -125,6 +126,23 @@ class TestClosedFormAgainstExpansion:
             assert (closed is None) == (expanded is None)
             if closed is not None:
                 assert closed == expanded
+                checked += 1
+
+    def test_singular_diagrams(self):
+        # det Q = 0, so b is not unique: the closed form, its value on the
+        # expansion and the oracle's +-1 formula each pick their own b.
+        rng = random.Random(124)
+        checked = 0
+        while checked < 30:
+            diagram = singular_diagram(rng)
+            closed = d3_closed_form(diagram)
+            assert closed == d3_via_expansion(diagram)
+            if closed is None:
+                continue
+            assert closed == oracle_d3_pm1(expand_to_pm1(diagram))
+            matrix = linking_matrix(diagram).entries
+            assert solve_rational(matrix, [c.rot for c in diagram.components])[1]
+            if any(c.coeff.magnitude > 1 for c in diagram.components) and diagram.k > 1:
                 checked += 1
 
     def test_torsion_flag_stable_under_expansion(self):

@@ -10,6 +10,9 @@ known and compares the reports exactly:
 * Ding-Geiges cancellation: a +1 surgery on a Legendrian unknot L and a -1
   surgery on its push-off L', unlinked from the rest, cancel (Ding and
   Geiges, Math. Proc. Camb. Phil. Soc. 136, 2004).
+
+Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
+diagrams with det Q = 0, where the solutions a and b are not unique.
 """
 
 import random
@@ -30,9 +33,10 @@ from surgeon import (
     linking_matrix,
 )
 
-from helpers import random_diagram, t_mat_vec
+from helpers import random_diagram, singular_diagram, t_mat_vec
 
 DRAWS = 300
+SINGULAR_DRAWS = 200
 
 
 def _legendrian(rng, tb_range=(-3, 3), rot_bound=3):
@@ -40,10 +44,12 @@ def _legendrian(rng, tb_range=(-3, 3), rot_bound=3):
     return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
 
 
-def random_case(rng):
-    """A random diagram (k <= 3, m <= 4) with a Legendrian companion K and
-    a transverse companion T, both with random data."""
-    diagram = random_diagram(rng, k_max=3, m_max=4, with_knot=True)
+def random_case(rng, singular=False):
+    """A random diagram (k <= 3, m <= 4), singular when asked, with a
+    Legendrian companion K and a transverse companion T, both with random
+    data."""
+    draw = singular_diagram if singular else random_diagram
+    diagram = draw(rng, k_max=3, m_max=4, with_knot=True)
     tb, rot = _legendrian(rng)
     lk = [tuple(rng.randint(-2, 2) for _ in range(diagram.k)) for _ in range(2)]
     knots = (CompanionKnot("K", "legendrian", lk[0], tb=tb, rot=rot),
@@ -82,8 +88,8 @@ def assert_same_up_to_shifts(before, after):
 
 def test_reversing_every_orientation():
     rng = random.Random(1701)
-    for _ in range(DRAWS):
-        diagram = random_case(rng)
+    for i in range(DRAWS + SINGULAR_DRAWS):
+        diagram = random_case(rng, singular=i >= DRAWS)
         reversed_ = SurgeryDiagram(
             tuple(replace(c, rot=-c.rot) for c in diagram.components),
             diagram.linking,
@@ -109,8 +115,8 @@ def test_reversing_every_orientation():
 
 def test_permuting_the_surgery_components():
     rng = random.Random(1702)
-    for _ in range(DRAWS):
-        diagram = random_case(rng)
+    for i in range(DRAWS + SINGULAR_DRAWS):
+        diagram = random_case(rng, singular=i >= DRAWS)
         order = list(range(diagram.k))
         rng.shuffle(order)
         permuted = SurgeryDiagram(
@@ -126,8 +132,8 @@ def test_permuting_the_surgery_components():
 
 def test_ding_geiges_cancellation():
     rng = random.Random(1703)
-    for _ in range(DRAWS):
-        diagram = random_case(rng)
+    for i in range(DRAWS + SINGULAR_DRAWS):
+        diagram = random_case(rng, singular=i >= DRAWS)
         # a Legendrian unknot: tb <= -1, |rot| <= -tb - 1, tb + rot odd
         tb = rng.randint(-4, -1)
         rot = rng.choice(range(tb + 1, -tb, 2))
