@@ -365,7 +365,7 @@ def _cmd_front(args) -> int:
         doc = fronts.parse_front(_read_text(args.file))
         inv = fronts.classical_invariants(doc)
         names = fronts.component_names(doc, inv.n_components)
-        diagram = fronts.to_diagram(doc) if args.emit_diagram else None
+        diagram = fronts.to_diagram(doc, inv) if args.emit_diagram else None
     except fronts.FrontError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
 

@@ -21,17 +21,15 @@ and is reported as None, not raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagrams import SurgeryDiagram
 from .exactlin import solve_rational
 from .surgery import diagram_signature, expand_to_pm1, linking_matrix
 
 
-@dataclass(frozen=True)
-class EulerClassVector:
+class EulerClassVector(NamedTuple):
     """Poincare dual of the Euler class in the meridian basis.
 
     `coefficients` lists m_i * rot_i; the class is torsion iff Q*b = rot

@@ -6,15 +6,20 @@ the symmetric matrix of pairwise linking numbers, and a list of companion
 knots living in the link complement whose invariants in the surgered
 manifold are to be computed.
 
-All types are immutable values and all arithmetic is exact: plain Python
-integers and fractions.Fraction, never floats.
+Every record of the package is a `typing.NamedTuple`: an immutable,
+hashable value, copied with changes by `_replace` and equal to a plain
+tuple of its fields.  (Importing `dataclasses` would cost each command more
+than a small diagram takes.)  A NamedTuple body cannot define `__new__`, so
+the records that check or normalize their fields (ContactCoefficient,
+CompanionKnot, SurgeryDiagram) subclass a bare NamedTuple; their `_make`
+calls `__new__`, so `_replace` checks too.  All arithmetic is exact: plain
+Python integers and fractions.Fraction, never floats.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _COEFF_RE = re.compile(r"^([+-])1(?:/([1-9][0-9]*))?$")
 
@@ -22,8 +27,10 @@ LEGENDRIAN = "legendrian"
 TRANSVERSE = "transverse"
 
 
-@dataclass(frozen=True)
-class ContactCoefficient:
+_ContactCoefficient = NamedTuple("_ContactCoefficient", [("sign", int), ("magnitude", int)])
+
+
+class ContactCoefficient(_ContactCoefficient):
     """A contact surgery coefficient sign/magnitude with magnitude >= 1.
 
     Only reciprocal integers +-1/m are representable.  General rational
@@ -32,14 +39,15 @@ class ContactCoefficient:
     to that requirement.
     """
 
-    sign: int
-    magnitude: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"coefficient sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.magnitude, int) or self.magnitude < 1:
-            raise ValueError(f"coefficient magnitude must be a positive integer, got {self.magnitude!r}")
+    def __new__(cls, sign: int, magnitude: int) -> ContactCoefficient:
+        if sign not in (1, -1):
+            raise ValueError(f"coefficient sign must be +1 or -1, got {sign!r}")
+        if not isinstance(magnitude, int) or magnitude < 1:
+            raise ValueError(f"coefficient magnitude must be a positive integer, got {magnitude!r}")
+        return super().__new__(cls, sign, magnitude)
 
     @classmethod
     def parse(cls, text: str) -> "ContactCoefficient":
@@ -58,8 +66,7 @@ class ContactCoefficient:
         return f"{s}1" if self.magnitude == 1 else f"{s}1/{self.magnitude}"
 
 
-@dataclass(frozen=True)
-class LegendrianComponent:
+class LegendrianComponent(NamedTuple):
     """One component of the surgery link."""
 
     name: str
@@ -68,8 +75,12 @@ class LegendrianComponent:
     coeff: ContactCoefficient
 
 
-@dataclass(frozen=True)
-class CompanionKnot:
+_CompanionKnot = NamedTuple("_CompanionKnot", [
+    ("name", str), ("kind", str), ("lk", tuple[int, ...]), ("tb", Optional[int]),
+    ("rot", Optional[int]), ("sl", Optional[int]), ("transverse_sign", Optional[int])])
+
+
+class CompanionKnot(_CompanionKnot):
     """A knot in the complement of the surgery link.
 
     Legendrian companions carry (tb, rot); transverse companions carry the
@@ -78,16 +89,12 @@ class CompanionKnot:
     surgery link components, in diagram order.
     """
 
-    name: str
-    kind: str
-    lk: tuple[int, ...]
-    tb: Optional[int] = None
-    rot: Optional[int] = None
-    sl: Optional[int] = None
-    transverse_sign: Optional[int] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lk", tuple(self.lk))
+    def __new__(cls, name: str, kind: str, lk, tb: Optional[int] = None, rot: Optional[int] = None,
+                sl: Optional[int] = None, transverse_sign: Optional[int] = None) -> CompanionKnot:
+        return super().__new__(cls, name, kind, tuple(lk), tb, rot, sl, transverse_sign)
 
     @property
     def is_legendrian(self) -> bool:
@@ -98,8 +105,12 @@ class CompanionKnot:
         return self.kind == TRANSVERSE
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
+_SurgeryDiagram = NamedTuple("_SurgeryDiagram", [
+    ("components", tuple[LegendrianComponent, ...]), ("linking", tuple[tuple[int, ...], ...]),
+    ("knots", tuple[CompanionKnot, ...])])
+
+
+class SurgeryDiagram(_SurgeryDiagram):
     """An oriented Legendrian surgery link with companion knots.
 
     `linking` is the full k x k matrix of pairwise linking numbers with
@@ -107,14 +118,12 @@ class SurgeryDiagram:
     component, never on the diagonal.
     """
 
-    components: tuple[LegendrianComponent, ...]
-    linking: tuple[tuple[int, ...], ...]
-    knots: tuple[CompanionKnot, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "linking", tuple(tuple(row) for row in self.linking))
-        object.__setattr__(self, "knots", tuple(self.knots))
+    def __new__(cls, components, linking, knots=()) -> SurgeryDiagram:
+        return super().__new__(cls, tuple(components), tuple(tuple(row) for row in linking),
+                               tuple(knots))
 
     @property
     def k(self) -> int:
@@ -127,8 +136,7 @@ class SurgeryDiagram:
         raise KeyError(f"no companion knot named {name!r}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
 

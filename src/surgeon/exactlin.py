@@ -20,10 +20,9 @@ intermediates are minors and Hadamard's bound limits their size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -45,8 +44,7 @@ def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(NamedTuple):
     """Smith normal form U * M * V = D.
 
     U and V are square unimodular integer matrices and D is a rectangular
@@ -158,8 +156,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFDecomposition:
     return SNFDecomposition(_freeze(U), _freeze(D), _freeze(_transpose(Vt, ncols)))
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """A solution of M*a = order*v together with the integer kernel of M.
 
     `order` is the smallest positive integer for which the system admits an

@@ -58,8 +58,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagrams import (
     LEGENDRIAN,
@@ -82,16 +81,14 @@ class FrontError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class FrontEvent:
+class FrontEvent(NamedTuple):
     kind: str  # "L", "R" or "X"
     position: int
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class ComponentRole:
+class ComponentRole(NamedTuple):
     """Role header for one traced component."""
 
     role: str  # "surgery" or "companion"
@@ -103,8 +100,7 @@ class ComponentRole:
     line: int
 
 
-@dataclass(frozen=True)
-class FrontDocument:
+class FrontDocument(NamedTuple):
     events: tuple[FrontEvent, ...]
     roles: tuple[ComponentRole, ...]
 
@@ -202,8 +198,7 @@ def parse_front(text: str) -> FrontDocument:
     return FrontDocument(tuple(events), tuple(roles))
 
 
-@dataclass(frozen=True)
-class FrontInvariants:
+class FrontInvariants(NamedTuple):
     """Classical invariants computed from one front document: per-component
     tb and rot, and the symmetric matrix of pairwise linking numbers."""
 
@@ -328,18 +323,20 @@ def component_names(doc: FrontDocument, n_components: int) -> tuple[str, ...]:
                  for i in range(n_components))
 
 
-def to_diagram(doc: FrontDocument) -> SurgeryDiagram:
+def to_diagram(doc: FrontDocument, inv: Optional[FrontInvariants] = None) -> SurgeryDiagram:
     """Assemble a surgery diagram from a fully annotated front document.
 
     Every traced component must carry a role header; surgery components
     contribute link components, Legendrian companions contribute knots.
     Transverse companions are rejected: they carry no front here and must
-    be entered numerically in a diagram file.
+    be entered numerically in a diagram file.  `inv`, when given, is
+    classical_invariants(doc), which saves tracing the front again.
     """
-    inv = classical_invariants(doc)
+    if inv is None:
+        inv = classical_invariants(doc)
     n = inv.n_components
-    component_names(doc, n)  # rejects a role header beyond the last component
-    if len(doc.roles) < n:
+    if len(doc.roles) != n:
+        component_names(doc, n)  # raises at a role header beyond the last component
         *_, starts = _trace(doc)
         first_event = [ev for ev in doc.events if ev.kind == "L"][starts[len(doc.roles)] // 2]
         raise FrontError(

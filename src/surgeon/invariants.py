@@ -20,9 +20,8 @@ silently fixing a relative homology class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagrams import CompanionKnot, SurgeryDiagram
 from .exactlin import SolveResult, minimal_order_solve
@@ -98,8 +97,7 @@ def legendrian_pushoff_sl(tb, rot, transverse_sign: int):
     return tb - transverse_sign * rot
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Invariants of one companion knot in the surgered manifold.
 
     `order` is None when the knot is not rationally nullhomologous, in

@@ -8,7 +8,7 @@ and drives every invariant computed by this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
 from .exactlin import Matrix, smith_normal_form, symmetric_signature
@@ -20,8 +20,7 @@ from .exactlin import Matrix, smith_normal_form, symmetric_signature
 EXPANSION_LIMIT = 128
 
 
-@dataclass(frozen=True)
-class GeneralizedLinkingMatrix:
+class GeneralizedLinkingMatrix(NamedTuple):
     """Square integer matrix Q with row/column i attached to the meridian
     of the i-th surgery component.
 
@@ -48,8 +47,7 @@ def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
     return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes))
 
 
-@dataclass(frozen=True)
-class HomologyPresentation:
+class HomologyPresentation(NamedTuple):
     """First homology of the surgered manifold: torsion invariant factors
     (each > 1, each dividing the next) and the free rank."""
 
@@ -107,7 +105,7 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
             linking[a][b] = diagram.components[i].tb if i == j else diagram.linking[i][j]
 
     knots = tuple(
-        replace(w, lk=tuple(w.lk[origin[a]] for a in range(n)))
+        w._replace(lk=tuple(w.lk[origin[a]] for a in range(n)))
         for w in diagram.knots)
 
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), knots)

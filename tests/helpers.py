@@ -11,7 +11,6 @@ import contextlib
 import itertools
 import random
 import signal
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -395,8 +394,8 @@ def singular_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> S
             continue
         tb = (diagonal.numerator - last.coeff.sign) // last.coeff.magnitude
         rot = last.rot if (tb + last.rot) % 2 else last.rot + rng.choice((1, -1))
-        components = diagram.components[:-1] + (replace(last, tb=tb, rot=rot),)
-        return replace(diagram, components=components)
+        components = diagram.components[:-1] + (last._replace(tb=tb, rot=rot),)
+        return diagram._replace(components=components)
 
 
 def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import surgeon.d3
+import surgeon.fronts
 import surgeon.surgery
 from surgeon.cli import diagram_from_dict, diagram_to_dict, frac_str, main
 
@@ -332,6 +333,14 @@ class TestFrontCommand:
         data = json.loads(out_path.read_text())
         assert data["components"] == [{"name": "S", "tb": -1, "rot": 0, "coeff": "-1"}]
         assert data["knots"][0]["lk"] == [1]
+
+    def test_emit_diagram_traces_once(self, capsys, monkeypatch, tmp_path):
+        traced = count_calls(monkeypatch, surgeon.fronts, "classical_invariants")
+        named = count_calls(monkeypatch, surgeon.fronts, "component_names")
+        code, _, _ = run(capsys, "front", str(FRONTS / "surgery_demo.front"),
+                         "--emit-diagram", str(tmp_path / "front_diagram.json"))
+        assert code == 0
+        assert (len(traced), len(named)) == (1, 1)
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 import pytest
 
+import surgeon
 from surgeon import (
     CompanionKnot,
     ContactCoefficient,
+    Diagnostic,
     LegendrianComponent,
     SurgeryDiagram,
     topological_coefficient,
@@ -103,3 +105,58 @@ class TestValidate:
 
     def test_empty_diagram_is_valid(self):
         assert validate(SurgeryDiagram((), ())) == []
+
+
+def demo_diagram():
+    knot = CompanionKnot("K", "legendrian", [1], tb=-1, rot=0)
+    return SurgeryDiagram([unknot("+1/2")], [[0]], [knot])
+
+
+# One value of each public record type, built afresh on every call.
+RECORDS = {
+    "CompanionKnot": lambda: CompanionKnot("K", "legendrian", [1], tb=-1, rot=0),
+    "ContactCoefficient": lambda: ContactCoefficient(-1, 3),
+    "Diagnostic": lambda: Diagnostic("warning", "U: tb+rot even (tb=-1, rot=1)"),
+    "EulerClassVector": lambda: surgeon.euler_class(demo_diagram()),
+    "FrontDocument": lambda: surgeon.parse_front("surgery S coeff -1\nevents:\nL1 R1"),
+    "FrontInvariants": lambda: surgeon.classical_invariants(surgeon.parse_front("L1 L3 X2 X2 X2 R1 R1")),
+    "GeneralizedLinkingMatrix": lambda: surgeon.linking_matrix(demo_diagram()),
+    "HomologyPresentation": lambda: surgeon.homology(surgeon.linking_matrix(demo_diagram())),
+    "InvariantReport": lambda: surgeon.invariant_report(demo_diagram(), "K"),
+    "LegendrianComponent": lambda: unknot("-1/2"),
+    "SNFDecomposition": lambda: surgeon.smith_normal_form([[2, 4], [6, 8]]),
+    "SolveResult": lambda: surgeon.minimal_order_solve([[2, 4]], [3]),
+    "SurgeryDiagram": demo_diagram,
+}
+
+
+class TestRecords:
+    def test_every_public_record_is_covered(self):
+        classes = {name for name in surgeon.__all__ if isinstance(getattr(surgeon, name), type)}
+        assert classes - {"FrontError"} == set(RECORDS)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_immutable_hashable_value(self, name):
+        record, again = RECORDS[name](), RECORDS[name]()
+        assert type(record) is getattr(surgeon, name)
+        assert record == again and hash(record) == hash(again)
+        assert record == tuple(record)
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+        copy = record._replace(**{field: getattr(record, field)})
+        assert type(copy) is type(record) and copy == record
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError):
+            ContactCoefficient(1, 1)._replace(sign=2)
+        with pytest.raises(ValueError):
+            ContactCoefficient._make((1, 0))
+
+    def test_replace_normalizes_to_tuples(self):
+        diagram = demo_diagram()._replace(linking=[[0]])
+        assert diagram.linking == ((0,),)
+        assert diagram._replace(knots=[]).knots == ()
+        assert diagram.knots[0]._replace(lk=[2]).lk == (2,)

@@ -3,8 +3,10 @@
 `import surgeon.cli` runs only `cli` and `diagrams`.  The other five
 layers are registered in `sys.modules` as lazy modules and run on first
 use, so code that looks a layer up there, such as the benchmark's span
-tracer, finds all seven.  The import checks run in a fresh interpreter,
-because this test session has long since loaded every layer.
+tracer, finds all seven.  No command imports `dataclasses`, which would
+bring in `inspect` and cost every command more than a small diagram does.
+The import checks run in a fresh interpreter, because this test session
+has long since loaded every layer.
 """
 
 import json
@@ -13,6 +15,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import surgeon
 
@@ -32,18 +36,32 @@ PUBLIC = """
 
 # Prints, as JSON, the layers missing from sys.modules, the lazy layers
 # whose code has run (a module's own names appear in its namespace only
-# then; object.__getattribute__ reads it without loading the module), and
-# whether `fractions` is imported.
+# then; object.__getattribute__ reads it without loading the module),
+# whether `fractions` is imported, and whether `dataclasses` was imported
+# after the interpreter started (`site` may import modules of its own).
 STATE = f"""
+    import sys
+    BARE = set(sys.modules)
+
     def state():
-        import sys
         layers = ("cli", "diagrams") + {LAZY!r}
         missing = [l for l in layers if "surgeon." + l not in sys.modules]
         ran = [l for l in {LAZY!r} if l not in missing and any(
             not k.startswith("__")
             for k in object.__getattribute__(sys.modules["surgeon." + l], "__dict__"))]
-        return {{"missing": missing, "ran": ran, "fractions": "fractions" in sys.modules}}
+        return {{"missing": missing, "ran": ran, "fractions": "fractions" in sys.modules,
+                 "dataclasses": "dataclasses" in set(sys.modules) - BARE}}
 """
+
+# One run of each command; "{out}" stands for a file the command writes.
+COMMANDS = {
+    "check": ["check", str(CHECKED_FILE)],
+    "invariants": ["invariants", str(CHECKED_FILE)],
+    "d3": ["d3", str(CHECKED_FILE)],
+    "expand": ["expand", str(ROOT / "corpus" / "diagrams" / "unknot_plus1_over_4.json"), "{out}"],
+    "front": ["front", str(ROOT / "corpus" / "fronts" / "surgery_demo.front"), "--emit-diagram",
+              "{out}"],
+}
 
 
 def run_fresh(body: str) -> dict:
@@ -63,7 +81,7 @@ def test_import_cli_runs_no_other_layer():
         import surgeon.cli
         print(json.dumps(state()))
     """)
-    assert result == {"missing": [], "ran": [], "fractions": False}
+    assert result == {"missing": [], "ran": [], "fractions": False, "dataclasses": False}
 
 
 def test_check_command_runs_no_other_layer():
@@ -73,7 +91,20 @@ def test_check_command_runs_no_other_layer():
         assert main(["check", {str(CHECKED_FILE)!r}]) == 0
         print(json.dumps(state()))
     """)
-    assert result == {"missing": [], "ran": [], "fractions": False}
+    assert result == {"missing": [], "ran": [], "fractions": False, "dataclasses": False}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_imports_dataclasses(command, tmp_path):
+    argv = [arg.replace("{out}", str(tmp_path / "out.json")) for arg in COMMANDS[command]]
+    result = run_fresh(f"""
+        import json
+        from surgeon.cli import main
+        assert main({argv!r}) == 0
+        print(json.dumps(state()))
+    """)
+    assert result["missing"] == []
+    assert result["dataclasses"] is False
 
 
 def test_tracer_installs_on_lazy_layers():

@@ -16,7 +16,6 @@ diagrams with det Q = 0, where the solutions a and b are not unique.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -55,7 +54,7 @@ def random_case(rng, singular=False):
     knots = (CompanionKnot("K", "legendrian", lk[0], tb=tb, rot=rot),
              CompanionKnot("T", "transverse", lk[1], sl=rng.choice((-3, -1, 1)),
                            transverse_sign=rng.choice((1, -1))))
-    return replace(diagram, knots=knots)
+    return diagram._replace(knots=knots)
 
 
 def reports(diagram):
@@ -91,10 +90,10 @@ def test_reversing_every_orientation():
     for i in range(DRAWS + SINGULAR_DRAWS):
         diagram = random_case(rng, singular=i >= DRAWS)
         reversed_ = SurgeryDiagram(
-            tuple(replace(c, rot=-c.rot) for c in diagram.components),
+            tuple(c._replace(rot=-c.rot) for c in diagram.components),
             diagram.linking,
-            tuple(replace(w, rot=-w.rot) if w.is_legendrian
-                  else replace(w, transverse_sign=-w.transverse_sign) for w in diagram.knots))
+            tuple(w._replace(rot=-w.rot) if w.is_legendrian
+                  else w._replace(transverse_sign=-w.transverse_sign) for w in diagram.knots))
         before, after = reports(diagram), reports(reversed_)
         for name in before:
             b, a = before[name], after[name]
@@ -122,7 +121,7 @@ def test_permuting_the_surgery_components():
         permuted = SurgeryDiagram(
             tuple(diagram.components[i] for i in order),
             tuple(tuple(diagram.linking[i][j] for j in order) for i in order),
-            tuple(replace(w, lk=tuple(w.lk[i] for i in order)) for w in diagram.knots))
+            tuple(w._replace(lk=tuple(w.lk[i] for i in order)) for w in diagram.knots))
         before, after = reports(diagram), reports(permuted)
         for name in before:
             assert_same_up_to_shifts(before[name], after[name])
@@ -144,7 +143,7 @@ def test_ding_geiges_cancellation():
             diagram.components + pair,
             tuple(row + (0, 0) for row in diagram.linking)
             + ((0,) * k + (0, tb), (0,) * k + (tb, 0)),
-            tuple(replace(w, lk=w.lk + (0, 0)) for w in diagram.knots))
+            tuple(w._replace(lk=w.lk + (0, 0)) for w in diagram.knots))
         before, after = reports(diagram), reports(cancelled)
         for name in before:
             assert_same_up_to_shifts(before[name], after[name])
