@@ -26,8 +26,8 @@ _EXPORTS = {
                  "solve_rational", "symmetric_signature"),
     "fronts": ("FrontDocument", "FrontError", "FrontInvariants", "classical_invariants",
                "parse_front", "to_diagram"),
-    "invariants": ("InvariantReport", "invariant_report", "legendrian_pushoff_sl",
-                   "order_and_solution", "rot_surgered", "sl_surgered", "tb_surgered"),
+    "invariants": ("InvariantReport", "invariant_report", "order_and_solution", "rot_surgered",
+                   "sl_surgered", "tb_surgered"),
     "surgery": ("GeneralizedLinkingMatrix", "HomologyPresentation", "diagram_signature",
                 "expand_to_pm1", "homology", "linking_matrix"),
 }

@@ -231,7 +231,7 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
     ec = d3.euler_class(diagram)
-    closed = d3.d3_closed_form(diagram)
+    closed = d3.d3_closed_form(diagram, ec)
     try:
         expanded = surgery.expand_to_pm1(diagram)
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT

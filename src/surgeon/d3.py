@@ -9,11 +9,12 @@ closed form in terms of any rational solution b of Q*b = rot:
 This is the only d3 formula here.  With every m_i = 1 it is the classical
 formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 - 1/2 + q with q the number of +1 coefficients.  The closed form never
-expands (sigma(Q) comes from diag(m)*Q).  The central correctness check of
-this package evaluates it again on the +-1 expansion, where it is the
-classical formula.  That check is independent only when some m_i > 1: a
-+-1 diagram expands to itself, so both values come from the same Q, b and
-sigma.
+expands (sigma(Q) comes from diag(m)*Q).  The `d3` report solves Q*b = rot
+once: its closed form reuses the b of the report's euler_class.  The
+central correctness check of this package evaluates the closed form again
+on the +-1 expansion, where it is the classical formula.  That check is
+independent only when some m_i > 1: a +-1 diagram expands to itself, so
+both values come from the same Q, b and sigma.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.
@@ -54,10 +55,13 @@ def euler_class(diagram: SurgeryDiagram) -> EulerClassVector:
     return EulerClassVector(coefficients, True, solved[0])
 
 
-def d3_closed_form(diagram: SurgeryDiagram) -> Optional[Fraction]:
+def d3_closed_form(diagram: SurgeryDiagram,
+                   ec: Optional[EulerClassVector] = None) -> Optional[Fraction]:
     """d3 of the diagram's contact structure, or None when the Euler class
-    is not torsion."""
-    ec = euler_class(diagram)
+    is not torsion.  `ec` is the diagram's euler_class when the caller
+    already has it; otherwise it is computed here."""
+    if ec is None:
+        ec = euler_class(diagram)
     if not ec.torsion:
         return None
     total = Fraction(0)

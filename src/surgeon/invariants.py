@@ -89,14 +89,6 @@ def sl_surgered(diagram: SurgeryDiagram, knot: CompanionKnot,
     return knot.sl - _weighted_sum(diagram, solution, weights)
 
 
-def legendrian_pushoff_sl(tb, rot, transverse_sign: int):
-    """Self-linking of the transverse push-off of a Legendrian knot:
-    tb - rot for the positive push-off, tb + rot for the negative one."""
-    if transverse_sign not in (1, -1):
-        raise ValueError("transverse sign must be +1 or -1")
-    return tb - transverse_sign * rot
-
-
 class InvariantReport(NamedTuple):
     """Invariants of one companion knot in the surgered manifold.
 

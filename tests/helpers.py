@@ -329,6 +329,14 @@ def oracle_invariants(diagram, name):
     return order, None, None, knot.sl - sum(xi * (li - t * r) for xi, li, r in zip(x, knot.lk, rots))
 
 
+def legendrian_pushoff_sl(tb, rot, transverse_sign: int):
+    """Self-linking of the transverse push-off of a Legendrian knot:
+    tb - rot for the positive push-off, tb + rot for the negative one."""
+    if transverse_sign not in (1, -1):
+        raise ValueError("transverse sign must be +1 or -1")
+    return tb - transverse_sign * rot
+
+
 def oracle_d3_pm1(diagram):
     """d3 = (<b, rot> - 3 sigma(Q) - 2k) / 4 - 1/2 + #(+1 coefficients) for
     a diagram with +-1 coefficients, b from rational elimination and sigma

@@ -25,7 +25,6 @@ from surgeon import (
     expand_to_pm1,
     homology,
     invariant_report,
-    legendrian_pushoff_sl,
     linking_matrix,
     minimal_order_solve,
     order_and_solution,
@@ -43,6 +42,7 @@ from helpers import (
     check_snf_invariants,
     descartes_split,
     image_set,
+    legendrian_pushoff_sl,
     oracle_d3_pm1,
     poly_mul,
     random_diagram,

@@ -201,9 +201,9 @@ class TestD3Command:
 
     @pytest.mark.parametrize("name,solves,signatures", [
         # A +-1 diagram expands to itself: the cross-check is the closed form.
-        ("trefoil_chain_rot2.json", 2, 1),
+        ("trefoil_chain_rot2.json", 1, 1),
         # Some m > 1: the closed form runs again on the expansion.
-        ("unknot_plus1_over_2.json", 3, 2),
+        ("unknot_plus1_over_2.json", 2, 2),
     ])
     def test_cross_check_work(self, capsys, monkeypatch, name, solves, signatures):
         solved = count_calls(monkeypatch, surgeon.d3, "solve_rational")

@@ -13,7 +13,6 @@ from surgeon import (
     SurgeryDiagram,
     euler_class,
     invariant_report,
-    legendrian_pushoff_sl,
     order_and_solution,
     rot_surgered,
     sl_surgered,
@@ -22,7 +21,7 @@ from surgeon import (
 
 from surgeon.cli import load_diagram
 
-from helpers import count_calls, random_diagram
+from helpers import count_calls, legendrian_pushoff_sl, random_diagram
 
 
 def C(text):

@@ -29,7 +29,7 @@ PUBLIC = """
     FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
     LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
     d3_closed_form d3_via_expansion diagram_signature euler_class expand_to_pm1 homology
-    invariant_report legendrian_pushoff_sl linking_matrix minimal_order_solve
+    invariant_report linking_matrix minimal_order_solve
     order_and_solution parse_front rot_surgered sl_surgered smith_normal_form solve_rational
     symmetric_signature tb_surgered to_diagram topological_coefficient validate
 """.split()

@@ -9,7 +9,10 @@ known and compares the reports exactly:
   relative homology class (the reported rot shifts);
 * Ding-Geiges cancellation: a +1 surgery on a Legendrian unknot L and a -1
   surgery on its push-off L', unlinked from the rest, cancel (Ding and
-  Geiges, Math. Proc. Camb. Phil. Soc. 136, 2004).
+  Geiges, Math. Proc. Camb. Phil. Soc. 136, 2004);
+* the +-1 expansion keeps every companion's order, tb, rot and sl, so the
+  1/n formulas agree with their +-1 case on the expanded diagram (rot and
+  sl only where the relative homology class is unique).
 
 Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
 diagrams with det Q = 0, where the solutions a and b are not unique.
@@ -27,6 +30,7 @@ from surgeon import (
     d3_closed_form,
     d3_via_expansion,
     euler_class,
+    expand_to_pm1,
     homology,
     invariant_report,
     linking_matrix,
@@ -149,3 +153,19 @@ def test_ding_geiges_cancellation():
             assert_same_up_to_shifts(before[name], after[name])
         assert homology(linking_matrix(cancelled)) == homology(linking_matrix(diagram))
         assert d3_values(cancelled) == d3_values(diagram), diagram
+
+
+def test_companion_invariants_survive_the_expansion():
+    rng = random.Random(1704)
+    compared = 0
+    for i in range(DRAWS + SINGULAR_DRAWS):
+        diagram = random_case(rng, singular=i >= DRAWS)
+        before, after = reports(diagram), reports(expand_to_pm1(diagram))
+        for name in before:
+            b, a = before[name], after[name]
+            # order and tb never depend on the chosen solution
+            assert (a.order, a.tb) == (b.order, b.tb), diagram
+            if b.unique_class and a.unique_class:
+                assert (a.rot, a.sl) == (b.rot, b.sl), diagram
+                compared += 1
+    assert compared > DRAWS
