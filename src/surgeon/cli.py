@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional
 
-from . import d3, fronts, invariants, surgery
+from . import d3, exactlin, fronts, invariants, surgery
 from .diagrams import (
     LEGENDRIAN,
     TRANSVERSE,
@@ -84,6 +84,8 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 def _int_vector(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise UserError(f"{where}: expected a list of integers")
+    if all(type(x) is int for x in value):  # format entry locations only for an error
+        return tuple(value)
     return tuple(_require_int(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
@@ -230,7 +232,10 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
 
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
-    ec = d3.euler_class(diagram)
+    # One linking matrix and one Hermite form serve b and H_1.
+    q = surgery.linking_matrix(diagram)
+    form = exactlin.hermite_form(q.entries)
+    ec = d3.euler_class(diagram, q, form)
     closed = d3.d3_closed_form(diagram, ec)
     try:
         expanded = surgery.expand_to_pm1(diagram)
@@ -241,7 +246,7 @@ def d3_report_dict(diagram: SurgeryDiagram) -> dict:
         # expands to itself.
         cross = closed if expanded is diagram else d3.d3_closed_form(expanded)
         via_expansion = "undefined" if cross is None else frac_str(cross)
-    hom = surgery.homology(surgery.linking_matrix(diagram))
+    hom = surgery.homology(q, form)
     return {
         "euler_class": list(ec.coefficients),
         "torsion": ec.torsion,

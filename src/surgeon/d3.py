@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .diagrams import SurgeryDiagram
-from .exactlin import solve_rational
-from .surgery import diagram_signature, expand_to_pm1, linking_matrix
+from .exactlin import Matrix, solve_rational
+from .surgery import GeneralizedLinkingMatrix, diagram_signature, expand_to_pm1, linking_matrix
 
 
 class EulerClassVector(NamedTuple):
@@ -44,11 +44,15 @@ class EulerClassVector(NamedTuple):
     b: Optional[tuple[Fraction, ...]]
 
 
-def euler_class(diagram: SurgeryDiagram) -> EulerClassVector:
-    """Euler class vector of the surgered contact structure."""
-    q = linking_matrix(diagram)
+def euler_class(diagram: SurgeryDiagram, q: Optional[GeneralizedLinkingMatrix] = None,
+                form: Optional[Matrix] = None) -> EulerClassVector:
+    """Euler class vector of the surgered contact structure.  `q` and
+    `form` are the diagram's linking matrix and its exactlin.hermite_form
+    when the caller already has them."""
+    if q is None:
+        q = linking_matrix(diagram)
     rot = [c.rot for c in diagram.components]
-    solved = solve_rational(q.entries, rot)
+    solved = solve_rational(q.entries, rot, form)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))
     if solved is None:
         return EulerClassVector(coefficients, False, None)

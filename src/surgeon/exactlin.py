@@ -7,15 +7,17 @@ symmetric integer matrices.
 Matrices are sequences of rows of Python integers (Fractions where rational
 input is allowed).  Everything runs on arbitrary-precision integers and no
 floating point is used anywhere.  One integer elimination, the row Hermite
-normal form `_hermite_rows`, serves the solves (one Hermite form of
-[M^T | I] each) and the Smith normal form (alternating row and column
-Hermite passes, after Kannan and Bachem).  Its back-reduction keeps every
-entry above a pivot below that pivot, which bounds the entries of the
-echelon rows and of D by their pivots.  The transforms are not
-size-reduced: on dense random 50 x 50 linking matrices, whose largest
-invariant factor has about 130 bits, the entries of U reach 130-260 bits
-and those of V about 130.  The signature eliminates fraction-free, so its
-intermediates are minors and Hadamard's bound limits their size.
+normal form `_hermite_rows`, does all the integer work.  One Hermite form
+of [M^T | I] (`hermite_form`) serves the solves, by substitution into its
+echelon rows, and H_1, by a Smith pass over those rows without transforms
+(`smith_diagonal`).  `smith_normal_form` (with transforms, after Kannan
+and Bachem) is kept for library callers and the benchmark's probe.
+Back-reduction bounds the entries of the echelon rows and of D by their
+pivots.  The transforms are not size-reduced: on dense random 50 x 50
+linking matrices, whose largest invariant factor has about 130 bits, the
+entries of U reach 130-260 bits and those of V about 130.  The signature
+eliminates fraction-free, so its intermediates are minors and Hadamard's
+bound limits their size.
 """
 
 from __future__ import annotations
@@ -123,22 +125,16 @@ def _transpose(a: list[list[int]], width: int) -> list[list[int]]:
     return [[row[j] for row in a] for j in range(width)]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Kannan-Bachem: alternate row Hermite passes on [D | U] and on
+def _smith(D: list[list[int]], U: list[list[int]], Vt: list[list[int]]):
+    """Kannan-Bachem: alternate row Hermite passes on [D | U] and on
     [D^T | V^T] until D is diagonal.  When some d_i does not divide a later
     d_j, adding column j to column i puts d_j under the pivot d_i and the
     next passes replace d_i by gcd(d_i, d_j) (a row add would be undone by
-    the next row pass).  Back-reduction bounds every entry of D by its
-    pivot; U and V are not size-reduced (measured sizes are in the module
-    docstring).
+    the next row pass).  U has a row per row of D and V^T one per column;
+    with zero-width rows the passes carry no transforms.  Returns
+    (D, U, V^T).
     """
-    D = _as_rows(matrix)
-    nrows = len(D)
-    ncols = len(D[0]) if D else 0
-    U = _identity(nrows)
-    Vt = _identity(ncols)
+    nrows, ncols = len(U), len(Vt)
     while True:
         D, U = _hermite_pass(D, U, ncols)
         Dt, Vt = _hermite_pass(_transpose(D, ncols), Vt, nrows)
@@ -149,11 +145,30 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFDecomposition:
         culprit = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
                         if diag[j] % diag[i]), None)
         if culprit is None:
-            break
+            return D, U, Vt
         i, j = culprit
         D[j][i] = D[j][j]  # column i += column j; D is diagonal, so only row j changes
         Vt[i] = [x + y for x, y in zip(Vt[i], Vt[j])]
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFDecomposition:
+    """Diagonalize an integer matrix by unimodular row and column operations
+    (Kannan-Bachem, `_smith`).  Back-reduction bounds every entry of D by
+    its pivot; U and V are not size-reduced (sizes in the module docstring).
+    """
+    D = _as_rows(matrix)
+    ncols = len(D[0]) if D else 0
+    D, U, Vt = _smith(D, _identity(len(D)), _identity(ncols))
     return SNFDecomposition(_freeze(U), _freeze(D), _freeze(_transpose(Vt, ncols)))
+
+
+def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The diagonal of smith_normal_form(matrix), by the same loop without
+    transforms."""
+    D = _as_rows(matrix)
+    ncols = len(D[0]) if D else 0
+    D = _smith(D, [[]] * len(D), [[]] * ncols)[0]
+    return tuple(D[i][i] for i in range(min(len(D), ncols)))
 
 
 class SolveResult(NamedTuple):
@@ -169,27 +184,34 @@ class SolveResult(NamedTuple):
     kernel_basis: tuple[tuple[int, ...], ...]
 
 
-def _echelon_solve(matrix: Sequence[Sequence[int]],
-                   vector: Sequence) -> Optional[tuple[int, list[int], Matrix]]:
-    """Solve M*x = v over the rationals from one Hermite form of [M^T | I].
+def hermite_form(matrix: Sequence[Sequence[int]]) -> Matrix:
+    """Row Hermite form of [M^T | I], unique as [M^T | I] has full row rank.
 
-    Each row (h, u) of that form satisfies M*u = h.  The rows with h != 0
-    come first and are an echelon basis of the image lattice; the others
-    are the Hermite-reduced basis of the integer kernel.  Substituting v
-    into the echelon rows, with ints over one common denominator (the
-    product of the pivots), gives the coordinates c of v in that basis, and
-    x = sum c_t u_t.  Returns
-    (den, num, kernel) with x = num / den, or None when M*x = v has no
-    rational solution.
+    Each row (h, u) satisfies M*u = h.  The rows with h != 0 come first and
+    are an echelon basis H of the image lattice, whose Smith diagonal holds
+    the invariant factors of M; the others are the Hermite-reduced basis of
+    the integer kernel.
     """
     rows = _as_rows(matrix)
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    return _freeze(_hermite_rows([c + e for c, e in zip(_transpose(rows, ncols), _identity(ncols))]))
+
+
+def _echelon_solve(matrix: Sequence[Sequence[int]], vector: Sequence,
+                   form: Optional[Matrix]) -> Optional[tuple[int, list[int], Matrix]]:
+    """Solve M*x = v over the rationals from `form`, the hermite_form of M
+    (computed here when None).  Substituting v into the echelon rows, with
+    ints over one common denominator (the product of the pivots), gives the
+    coordinates c of v in that basis, and x = sum c_t u_t.  Returns (den,
+    num, kernel) with x = num / den, or None when there is no solution.
+    """
+    nrows = len(matrix)
     if len(vector) != nrows:
         raise ValueError("vector length does not match matrix rows")
-    form = _hermite_rows([[row[j] for row in rows] + unit for j, unit in enumerate(_identity(ncols))])
+    if form is None:
+        form = hermite_form(matrix)
     rank = sum(1 for r in form if any(r[:nrows]))
-    image = [r[:nrows] for r in form[:rank]]
+    image = form[:rank]  # the rows (h, u) with h != 0; h is a row's first nrows entries
     # A Fraction right-hand side v is w / scale with w integral.
     scale = lcm(*(x.denominator for x in vector))
     w = [int(x * scale) for x in vector]
@@ -202,22 +224,22 @@ def _echelon_solve(matrix: Sequence[Sequence[int]],
     if any(w[j] * (den // scale) != sum(c * h[j] for c, h in zip(coords, image))
            for j in range(nrows)):
         return None
-    num = [sum(c * r[nrows + i] for c, r in zip(coords, form)) for i in range(ncols)]
-    return den, num, _freeze(r[nrows:] for r in form[rank:])
+    num = [sum(c * r[nrows + i] for c, r in zip(coords, image)) for i in range(len(form))]
+    return den, num, tuple(r[nrows:] for r in form[rank:])
 
 
-def minimal_order_solve(matrix: Sequence[Sequence[int]],
-                        vector: Sequence[int]) -> Optional[SolveResult]:
+def minimal_order_solve(matrix: Sequence[Sequence[int]], vector: Sequence[int],
+                        form: Optional[Matrix] = None) -> Optional[SolveResult]:
     """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
 
-    The echelon rows (h_t, u_t) of the Hermite form of [M^T | I] extend to
-    a basis of the lattice of pairs (M*u, u), so M*a = d*v has an integral
-    solution iff d times each coordinate c_t of v in the rows h_t is an
-    integer.  With x = sum c_t u_t = num / den, the u_t being part of a
-    unimodular basis gives d = den / gcd(den, num) and a = d*x.  Returns
-    None iff v has no rational preimage.
+    The echelon rows (h_t, u_t) of the hermite_form of M (`form`, when the
+    caller has it) extend to a basis of the lattice of pairs (M*u, u), so
+    M*a = d*v has an integral solution iff d times each coordinate c_t of v
+    in the rows h_t is an integer.  With x = sum c_t u_t = num / den, the
+    u_t being part of a unimodular basis gives d = den / gcd(den, num) and
+    a = d*x.  Returns None iff v has no rational preimage.
     """
-    solved = _echelon_solve(matrix, vector)
+    solved = _echelon_solve(matrix, vector, form)
     if solved is None:
         return None
     den, num, kernel = solved
@@ -225,15 +247,15 @@ def minimal_order_solve(matrix: Sequence[Sequence[int]],
     return SolveResult(den // g, tuple(x // g for x in num), kernel)
 
 
-def solve_rational(matrix: Sequence[Sequence[int]],
-                   vector: Sequence) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]]:
-    """Solve M*b = v over the rationals.
+def solve_rational(matrix: Sequence[Sequence[int]], vector: Sequence, form: Optional[Matrix] = None,
+                   ) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]]:
+    """Solve M*b = v over the rationals (`form` as in minimal_order_solve).
 
     The right-hand side may contain Fractions.  Returns (particular, kernel)
     where the kernel is the Hermite-reduced integer kernel basis (it spans
     the rational kernel as well), or None when the system is inconsistent.
     """
-    solved = _echelon_solve(matrix, vector)
+    solved = _echelon_solve(matrix, vector, form)
     if solved is None:
         return None
     den, num, kernel = solved

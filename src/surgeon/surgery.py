@@ -8,10 +8,10 @@ and drives every invariant computed by this package.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
-from .exactlin import Matrix, smith_normal_form, symmetric_signature
+from .exactlin import Matrix, hermite_form, smith_diagonal, symmetric_signature
 
 # Largest number of components `expand_to_pm1` builds, i.e. the largest sum
 # of the coefficient magnitudes m it expands.  The expanded linking matrix
@@ -59,11 +59,16 @@ class HomologyPresentation(NamedTuple):
         return not self.invariant_factors and self.free_rank == 0
 
 
-def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
-    """Present H_1 of the surgered manifold from the relation matrix Q."""
-    snf = smith_normal_form(q.entries)
-    factors = tuple(d for d in snf.diagonal if d > 1)
-    return HomologyPresentation(factors, q.k - snf.rank)
+def homology(q: GeneralizedLinkingMatrix, form: Optional[Matrix] = None) -> HomologyPresentation:
+    """Present H_1 of the surgered manifold from the relation matrix Q: the
+    invariant factors are the Smith diagonal entries > 1 of the echelon rows
+    H of Q's hermite_form (`form`, when the caller has it; the d3 report
+    shares it with its solve), and the free rank is k - rank H."""
+    if form is None:
+        form = hermite_form(q.entries)
+    echelon = [r[:q.k] for r in form if any(r[:q.k])]
+    factors = tuple(d for d in smith_diagonal(echelon) if d > 1)
+    return HomologyPresentation(factors, q.k - len(echelon))
 
 
 def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:

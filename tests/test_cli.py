@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 import surgeon.d3
+import surgeon.exactlin
 import surgeon.fronts
 import surgeon.surgery
-from surgeon.cli import diagram_from_dict, diagram_to_dict, frac_str, main
+from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, frac_str, main
 
 from helpers import count_calls, cpu_limit, random_diagram
 
@@ -215,6 +216,35 @@ class TestD3Command:
         assert data["d3_via_expansion"] == data["d3_closed_form"]
         assert (len(solved), len(signed)) == (solves, signatures)
 
+    @pytest.mark.parametrize("name,forms", [
+        # One Hermite form of Q serves the solve of Q*b = rot and H_1.
+        ("trefoil_chain_rot2.json", 1),
+        # The expansion has its own Q, and the cross-check solves with it.
+        ("unknot_plus1_over_2.json", 2),
+    ])
+    def test_one_hermite_form_per_linking_matrix(self, capsys, monkeypatch, name, forms):
+        formed = [count_calls(monkeypatch, module, "hermite_form")
+                  for module in (surgeon.exactlin, surgeon.surgery)]
+        code, _, _ = run(capsys, "d3", str(DIAGRAMS / name))
+        assert code == 0
+        assert sum(map(len, formed)) == forms
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{diagrams}/trefoil_chain_rot2.json"],
+    ["invariants", "{diagrams}/trefoil_chain_rot2.json"],
+    ["d3", "{diagrams}/trefoil_chain_rot2.json"],
+    ["d3", "{diagrams}/unknot_plus1_over_2.json"],
+    ["expand", "{diagrams}/unknot_plus1_over_4.json", "{out}"],
+    ["front", "{fronts}/surgery_demo.front", "--emit-diagram", "{out}"],
+], ids=lambda argv: "-".join(Path(a).stem for a in argv[:2]))
+def test_no_command_runs_the_smith_form_with_transforms(capsys, monkeypatch, tmp_path, argv):
+    snf = count_calls(monkeypatch, surgeon.exactlin, "smith_normal_form")
+    argv = [a.format(diagrams=DIAGRAMS, fronts=FRONTS, out=tmp_path / "out.json") for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert snf == []
+
 
 class TestExpandCommand:
     def test_expansion_roundtrips_through_check(self, capsys, tmp_path):
@@ -356,6 +386,18 @@ class TestSerialization:
             (LegendrianComponent("L", -2, 1, ContactCoefficient.parse("+1")),), ((0,),),
             (CompanionKnot("T", "transverse", (-1,), sl=-1, transverse_sign=1),))
         assert diagram_from_dict(diagram_to_dict(diagram)) == diagram
+
+    def test_bad_linking_entry_is_located(self):
+        # Entry locations are formatted only once a row fails its type check.
+        k = 50
+        linking = [[int(i != j) for j in range(k)] for i in range(k)]
+        data = {"components": [{"name": f"C{i}", "tb": -1, "rot": 0, "coeff": "+1"}
+                               for i in range(k)], "linking": linking}
+        for bad in ("1", True):
+            linking[37][12] = bad
+            with pytest.raises(UserError) as info:
+                diagram_from_dict(data)
+            assert str(info.value) == f"linking[37][12]: expected an integer, got {bad!r}"
 
     def test_frac_str(self):
         from fractions import Fraction

@@ -17,6 +17,7 @@ from surgeon import (
     solve_rational,
     symmetric_signature,
 )
+from surgeon.exactlin import hermite_form, smith_diagonal
 
 from helpers import (
     char_poly,
@@ -70,6 +71,15 @@ class TestSmithNormalForm:
     def test_random_matrices(self, nrows, ncols, seed):
         rng = random.Random(seed)
         snf_invariants_hold(random_int_matrix(rng, nrows, ncols, -9, 9))
+
+    def test_diagonal_without_transforms(self):
+        # smith_diagonal runs the same loop with zero-width transforms.
+        rng = random.Random(1204)
+        for _ in range(300):
+            matrix = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
+            assert smith_diagonal(matrix) == smith_normal_form(matrix).diagonal
+        for matrix in ([], [[], []], [[0, 0, 0]], DIVISIBILITY_5X3):
+            assert smith_diagonal(matrix) == smith_normal_form(matrix).diagonal
 
 
 class TestSolvers:
@@ -184,6 +194,14 @@ class TestOneFactorizationPerSolve:
         assert t_mat_vec(self.MATRIX, particular) == [3]
         assert len(kernel) == 2
         assert len(calls) == 1
+
+    def test_given_form_is_not_recomputed(self, monkeypatch):
+        expected = minimal_order_solve(self.MATRIX, [3]), solve_rational(self.MATRIX, [3])
+        form = hermite_form(self.MATRIX)
+        calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
+        assert (minimal_order_solve(self.MATRIX, [3], form), solve_rational(self.MATRIX, [3], form)) \
+            == expected
+        assert calls == []
 
 
 # The rank-5 matrix on which the earlier pivot ping-pong SNF ran for 38 s

@@ -126,7 +126,7 @@ def test_tracer_installs_on_lazy_layers():
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
     assert {"cli.main", "d3.euler_class", "exactlin.solve_rational", "surgery.homology",
-            "exactlin.smith_normal_form"} <= set(result["spans"])
+            "exactlin.hermite_form"} <= set(result["spans"])
 
 
 def test_public_names_resolve_to_their_definitions():

@@ -1,21 +1,28 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from surgeon import (
     CompanionKnot,
     ContactCoefficient,
+    GeneralizedLinkingMatrix,
     LegendrianComponent,
     SurgeryDiagram,
     diagram_signature,
     expand_to_pm1,
     homology,
     linking_matrix,
+    smith_normal_form,
     symmetric_signature,
 )
+from surgeon.cli import load_diagram
+from surgeon.exactlin import hermite_form
 from surgeon.surgery import EXPANSION_LIMIT
 
-from helpers import char_poly, poly_mul, random_diagram
+from helpers import char_poly, poly_mul, random_diagram, random_int_matrix, singular_diagram, t_mat_mul
+
+DIAGRAMS = Path(__file__).resolve().parent.parent / "corpus" / "diagrams"
 
 
 def single(coeff, tb=-1, rot=0):
@@ -72,6 +79,71 @@ class TestHomology:
         hom = homology(linking_matrix(single("+1")))  # topological 0 surgery
         assert hom.invariant_factors == ()
         assert hom.free_rank == 1
+
+
+def chain_diagram(rng: random.Random, k) -> SurgeryDiagram:
+    """A chain of k unknots, each linking the next once, with random tb and
+    coefficients +-1/m (m <= 3): a tridiagonal Q."""
+    tbs = [rng.randint(-3, 1) for _ in range(k)]
+    components = [LegendrianComponent(f"C{i + 1}", tb, 1 - tb % 2,
+                                      ContactCoefficient(rng.choice((1, -1)), rng.randint(1, 3)))
+                  for i, tb in enumerate(tbs)]
+    signs = [rng.choice((1, -1)) for _ in range(k - 1)]
+    linking = [[signs[min(i, j)] if abs(i - j) == 1 else 0 for j in range(k)] for i in range(k)]
+    return SurgeryDiagram(components, linking)
+
+
+class TestHomologyAgainstSmithForm:
+    """homology reads the invariant factors off the echelon rows of one
+    Hermite form of [Q^T | I]; the Smith normal form with transforms is the
+    oracle.  2029 matrices in all."""
+
+    @staticmethod
+    def check(q):
+        snf = smith_normal_form(q.entries)
+        hom = homology(q)
+        assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
+        assert hom.free_rank == q.k - snf.rank
+        assert homology(q, hermite_form(q.entries)) == hom
+
+    @staticmethod
+    def bare(entries):
+        return GeneralizedLinkingMatrix(tuple(map(tuple, entries)), (1,) * len(entries))
+
+    def test_dense(self):
+        rng = random.Random(1201)
+        for _ in range(1000):
+            k = rng.randint(1, 7)
+            self.check(self.bare(random_int_matrix(rng, k, k)))
+
+    def test_low_rank_products(self):
+        rng = random.Random(1202)
+        for _ in range(800):
+            k = rng.randint(1, 7)
+            r = rng.randint(0, k - 1)
+            a, b = random_int_matrix(rng, k, r, -3, 3), random_int_matrix(rng, r, k, -3, 3)
+            self.check(self.bare(t_mat_mul(a, b) if r else [[0] * k for _ in range(k)]))
+
+    def test_singular_diagrams(self):
+        rng = random.Random(1203)
+        for _ in range(200):
+            self.check(linking_matrix(singular_diagram(rng)))
+
+    def test_zero_and_empty(self):
+        for k in range(1, 8):
+            q = self.bare([[0] * k for _ in range(k)])
+            self.check(q)
+            assert homology(q) == ((), k)
+        q = linking_matrix(load_diagram(str(DIAGRAMS / "empty.json")))
+        assert q.k == 0
+        self.check(q)
+        assert homology(q).is_trivial
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 29, 50])
+    def test_chains(self, k):
+        rng = random.Random(f"chain:{k}")
+        for _ in range(3):
+            self.check(linking_matrix(chain_diagram(rng, k)))
 
 
 class TestExpansion:
