@@ -232,19 +232,16 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
 
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
-    # One linking matrix and one Hermite form serve b and H_1.
+    # One Hermite form of Q serves b and H_1.
     q = surgery.linking_matrix(diagram)
     form = exactlin.hermite_form(q.entries)
-    ec = d3.euler_class(diagram, q, form)
+    ec = d3.euler_class(diagram, form)
     closed = d3.d3_closed_form(diagram, ec)
-    try:
-        expanded = surgery.expand_to_pm1(diagram)
+    try:  # a +-1 diagram expands to itself, so its closed form is the cross-check
+        cross = d3.d3_via_expansion(diagram) if any(m > 1 for m in q.magnitudes) else closed
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT
         via_expansion = f"skipped: {exc}"
     else:
-        # d3.d3_via_expansion, reusing the closed form when a +-1 diagram
-        # expands to itself.
-        cross = closed if expanded is diagram else d3.d3_closed_form(expanded)
         via_expansion = "undefined" if cross is None else frac_str(cross)
     hom = surgery.homology(q, form)
     return {

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from .diagrams import SurgeryDiagram
 from .exactlin import Matrix, solve_rational
-from .surgery import GeneralizedLinkingMatrix, diagram_signature, expand_to_pm1, linking_matrix
+from .surgery import diagram_signature, expand_to_pm1, linking_matrix
 
 
 class EulerClassVector(NamedTuple):
@@ -44,13 +44,11 @@ class EulerClassVector(NamedTuple):
     b: Optional[tuple[Fraction, ...]]
 
 
-def euler_class(diagram: SurgeryDiagram, q: Optional[GeneralizedLinkingMatrix] = None,
-                form: Optional[Matrix] = None) -> EulerClassVector:
-    """Euler class vector of the surgered contact structure.  `q` and
-    `form` are the diagram's linking matrix and its exactlin.hermite_form
-    when the caller already has them."""
-    if q is None:
-        q = linking_matrix(diagram)
+def euler_class(diagram: SurgeryDiagram, form: Optional[Matrix] = None) -> EulerClassVector:
+    """Euler class vector of the surgered contact structure.  `form` is the
+    exactlin.hermite_form of the diagram's linking matrix when the caller
+    already has it."""
+    q = linking_matrix(diagram)
     rot = [c.rot for c in diagram.components]
     solved = solve_rational(q.entries, rot, form)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))

@@ -198,7 +198,7 @@ def hermite_form(matrix: Sequence[Sequence[int]]) -> Matrix:
 
 
 def _echelon_solve(matrix: Sequence[Sequence[int]], vector: Sequence,
-                   form: Optional[Matrix]) -> Optional[tuple[int, list[int], Matrix]]:
+                   form: Optional[Matrix] = None) -> Optional[tuple[int, list[int], Matrix]]:
     """Solve M*x = v over the rationals from `form`, the hermite_form of M
     (computed here when None).  Substituting v into the echelon rows, with
     ints over one common denominator (the product of the pivots), gives the
@@ -228,18 +228,18 @@ def _echelon_solve(matrix: Sequence[Sequence[int]], vector: Sequence,
     return den, num, tuple(r[nrows:] for r in form[rank:])
 
 
-def minimal_order_solve(matrix: Sequence[Sequence[int]], vector: Sequence[int],
-                        form: Optional[Matrix] = None) -> Optional[SolveResult]:
+def minimal_order_solve(matrix: Sequence[Sequence[int]],
+                        vector: Sequence[int]) -> Optional[SolveResult]:
     """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
 
-    The echelon rows (h_t, u_t) of the hermite_form of M (`form`, when the
-    caller has it) extend to a basis of the lattice of pairs (M*u, u), so
-    M*a = d*v has an integral solution iff d times each coordinate c_t of v
-    in the rows h_t is an integer.  With x = sum c_t u_t = num / den, the
-    u_t being part of a unimodular basis gives d = den / gcd(den, num) and
-    a = d*x.  Returns None iff v has no rational preimage.
+    The echelon rows (h_t, u_t) of the Hermite form of [M^T | I] extend to
+    a basis of the lattice of pairs (M*u, u), so M*a = d*v has an integral
+    solution iff d times each coordinate c_t of v in the rows h_t is an
+    integer.  With x = sum c_t u_t = num / den, the u_t being part of a
+    unimodular basis gives d = den / gcd(den, num) and a = d*x.  Returns
+    None iff v has no rational preimage.
     """
-    solved = _echelon_solve(matrix, vector, form)
+    solved = _echelon_solve(matrix, vector)
     if solved is None:
         return None
     den, num, kernel = solved
@@ -249,7 +249,7 @@ def minimal_order_solve(matrix: Sequence[Sequence[int]], vector: Sequence[int],
 
 def solve_rational(matrix: Sequence[Sequence[int]], vector: Sequence, form: Optional[Matrix] = None,
                    ) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]]:
-    """Solve M*b = v over the rationals (`form` as in minimal_order_solve).
+    """Solve M*b = v over the rationals (`form`: M's hermite_form, if known).
 
     The right-hand side may contain Fractions.  Returns (particular, kernel)
     where the kernel is the Hermite-reduced integer kernel basis (it spans
