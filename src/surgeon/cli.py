@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional
 
-from . import d3, exactlin, fronts, invariants, surgery
+from . import d3, fronts, invariants, surgery
 from .diagrams import (
     LEGENDRIAN,
     TRANSVERSE,
@@ -232,27 +232,23 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
 
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
-    # One Hermite form of Q serves b and H_1.
-    q = surgery.linking_matrix(diagram)
-    form = exactlin.hermite_form(q.entries)
-    ec = d3.euler_class(diagram, form)
-    closed = d3.d3_closed_form(diagram, ec)
+    report = d3.d3_report(diagram)
+    expands = any(c.coeff.magnitude > 1 for c in diagram.components)
     try:  # a +-1 diagram expands to itself, so its closed form is the cross-check
-        cross = d3.d3_via_expansion(diagram) if any(m > 1 for m in q.magnitudes) else closed
+        cross = d3.d3_via_expansion(diagram) if expands else report.d3
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT
         via_expansion = f"skipped: {exc}"
     else:
         via_expansion = "undefined" if cross is None else frac_str(cross)
-    hom = surgery.homology(q, form)
     return {
-        "euler_class": list(ec.coefficients),
-        "torsion": ec.torsion,
-        "b": None if ec.b is None else [frac_str(x) for x in ec.b],
-        "d3_closed_form": "undefined" if closed is None else frac_str(closed),
+        "euler_class": list(report.coefficients),
+        "torsion": report.torsion,
+        "b": None if report.b is None else [frac_str(x) for x in report.b],
+        "d3_closed_form": "undefined" if report.d3 is None else frac_str(report.d3),
         "d3_via_expansion": via_expansion,
         "homology": {
-            "invariant_factors": list(hom.invariant_factors),
-            "free_rank": hom.free_rank,
+            "invariant_factors": list(report.homology.invariant_factors),
+            "free_rank": report.homology.free_rank,
         },
     }
 

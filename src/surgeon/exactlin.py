@@ -8,16 +8,16 @@ Matrices are sequences of rows of Python integers (Fractions where rational
 input is allowed).  Everything runs on arbitrary-precision integers and no
 floating point is used anywhere.  One integer elimination, the row Hermite
 normal form `_hermite_rows`, does all the integer work.  One Hermite form
-of [M^T | I] (`hermite_form`) serves the solves, by substitution into its
-echelon rows, and H_1, by a Smith pass over those rows without transforms
-(`smith_diagonal`).  `smith_normal_form` (with transforms, after Kannan
-and Bachem) is kept for library callers and the benchmark's probe.
-Back-reduction bounds the entries of the echelon rows and of D by their
-pivots.  The transforms are not size-reduced: on dense random 50 x 50
-linking matrices, whose largest invariant factor has about 130 bits, the
-entries of U reach 130-260 bits and those of V about 130.  The signature
-eliminates fraction-free, so its intermediates are minors and Hadamard's
-bound limits their size.
+of [M^T | I] (`hermite_form`) serves the solves, which take it in place of
+M and only substitute into its echelon rows, and H_1, by a Smith pass over
+those rows without transforms (`smith_diagonal`).  `smith_normal_form`
+(with transforms, after Kannan and Bachem) is kept for library callers and
+the benchmark's probe.  Back-reduction bounds the entries of the echelon
+rows and of D by their pivots.  The transforms are not size-reduced: on
+dense random 50 x 50 linking matrices, whose largest invariant factor has
+about 130 bits, the entries of U reach 130-260 bits and those of V about
+130.  The signature eliminates fraction-free, so its intermediates are
+minors and Hadamard's bound limits their size.
 """
 
 from __future__ import annotations
@@ -197,19 +197,16 @@ def hermite_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     return _freeze(_hermite_rows([c + e for c, e in zip(_transpose(rows, ncols), _identity(ncols))]))
 
 
-def _echelon_solve(matrix: Sequence[Sequence[int]], vector: Sequence,
-                   form: Optional[Matrix] = None) -> Optional[tuple[int, list[int], Matrix]]:
-    """Solve M*x = v over the rationals from `form`, the hermite_form of M
-    (computed here when None).  Substituting v into the echelon rows, with
-    ints over one common denominator (the product of the pivots), gives the
-    coordinates c of v in that basis, and x = sum c_t u_t.  Returns (den,
-    num, kernel) with x = num / den, or None when there is no solution.
+def _echelon_solve(form: Matrix, vector: Sequence) -> Optional[tuple[int, list[int], Matrix]]:
+    """Solve M*x = v over the rationals from `form`, the hermite_form of M.
+    Substituting v into the echelon rows, with ints over one common
+    denominator (the product of the pivots), gives the coordinates c of v
+    in that basis, and x = sum c_t u_t.  Returns (den, num, kernel) with
+    x = num / den, or None when there is no solution.
     """
-    nrows = len(matrix)
-    if len(vector) != nrows:
+    nrows = len(vector)
+    if form and len(form[0]) != len(form) + nrows:  # a row (h, u) has nrows + ncols entries
         raise ValueError("vector length does not match matrix rows")
-    if form is None:
-        form = hermite_form(matrix)
     rank = sum(1 for r in form if any(r[:nrows]))
     image = form[:rank]  # the rows (h, u) with h != 0; h is a row's first nrows entries
     # A Fraction right-hand side v is w / scale with w integral.
@@ -228,18 +225,17 @@ def _echelon_solve(matrix: Sequence[Sequence[int]], vector: Sequence,
     return den, num, tuple(r[nrows:] for r in form[rank:])
 
 
-def minimal_order_solve(matrix: Sequence[Sequence[int]],
-                        vector: Sequence[int]) -> Optional[SolveResult]:
+def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveResult]:
     """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
 
-    The echelon rows (h_t, u_t) of the Hermite form of [M^T | I] extend to
+    The echelon rows (h_t, u_t) of `form`, the hermite_form of M, extend to
     a basis of the lattice of pairs (M*u, u), so M*a = d*v has an integral
     solution iff d times each coordinate c_t of v in the rows h_t is an
     integer.  With x = sum c_t u_t = num / den, the u_t being part of a
     unimodular basis gives d = den / gcd(den, num) and a = d*x.  Returns
     None iff v has no rational preimage.
     """
-    solved = _echelon_solve(matrix, vector)
+    solved = _echelon_solve(form, vector)
     if solved is None:
         return None
     den, num, kernel = solved
@@ -247,15 +243,15 @@ def minimal_order_solve(matrix: Sequence[Sequence[int]],
     return SolveResult(den // g, tuple(x // g for x in num), kernel)
 
 
-def solve_rational(matrix: Sequence[Sequence[int]], vector: Sequence, form: Optional[Matrix] = None,
+def solve_rational(form: Matrix, vector: Sequence
                    ) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]]:
-    """Solve M*b = v over the rationals (`form`: M's hermite_form, if known).
+    """Solve M*b = v over the rationals, from `form`, the hermite_form of M.
 
     The right-hand side may contain Fractions.  Returns (particular, kernel)
     where the kernel is the Hermite-reduced integer kernel basis (it spans
     the rational kernel as well), or None when the system is inconsistent.
     """
-    solved = _echelon_solve(matrix, vector, form)
+    solved = _echelon_solve(form, vector)
     if solved is None:
         return None
     den, num, kernel = solved

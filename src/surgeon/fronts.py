@@ -323,17 +323,15 @@ def component_names(doc: FrontDocument, n_components: int) -> tuple[str, ...]:
                  for i in range(n_components))
 
 
-def to_diagram(doc: FrontDocument, inv: Optional[FrontInvariants] = None) -> SurgeryDiagram:
+def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
     """Assemble a surgery diagram from a fully annotated front document.
 
     Every traced component must carry a role header; surgery components
     contribute link components, Legendrian companions contribute knots.
     Transverse companions are rejected: they carry no front here and must
-    be entered numerically in a diagram file.  `inv`, when given, is
-    classical_invariants(doc), which saves tracing the front again.
+    be entered numerically in a diagram file.  `inv` is
+    classical_invariants(doc), so the front is not traced again.
     """
-    if inv is None:
-        inv = classical_invariants(doc)
     n = inv.n_components
     if len(doc.roles) != n:
         component_names(doc, n)  # raises at a role header beyond the last component

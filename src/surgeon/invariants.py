@@ -33,7 +33,7 @@ def order_and_solution(diagram: SurgeryDiagram, knot: CompanionKnot) -> Optional
     is not rationally nullhomologous."""
     if len(knot.lk) != diagram.k:
         raise ValueError(f"{knot.name}: lk vector has length {len(knot.lk)}, expected {diagram.k}")
-    return minimal_order_solve(linking_matrix(diagram).entries, knot.lk)
+    return minimal_order_solve(linking_matrix(diagram).form, knot.lk)
 
 
 def _weighted_sum(diagram: SurgeryDiagram, solution: SolveResult, weights) -> Fraction:

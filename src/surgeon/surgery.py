@@ -2,13 +2,14 @@
 
 The generalized linking matrix of a diagram has the topological surgery
 slopes p_i on the diagonal and q_j * lk(L_i, L_j) off it, written in the
-meridian basis.  It presents the first homology of the surgered manifold
-and drives every invariant computed by this package.
+meridian basis.  It presents the first homology of the surgered manifold.
+`linking_matrix` builds a diagram's one presentation, Q with its Hermite
+form, and every solve, H_1 and the signature of this package read it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
 from .exactlin import Matrix, hermite_form, smith_diagonal, symmetric_signature
@@ -22,7 +23,8 @@ EXPANSION_LIMIT = 128
 
 class GeneralizedLinkingMatrix(NamedTuple):
     """Square integer matrix Q with row/column i attached to the meridian
-    of the i-th surgery component.
+    of the i-th surgery component, the coefficient magnitudes m_i, and
+    `form`, the exactlin.hermite_form of Q.
 
     Q itself is symmetric only when all coefficient magnitudes are 1, but
     diag(m_1, ..., m_k) * Q is always symmetric.
@@ -30,6 +32,7 @@ class GeneralizedLinkingMatrix(NamedTuple):
 
     entries: Matrix
     magnitudes: tuple[int, ...]
+    form: Matrix
 
     @property
     def k(self) -> int:
@@ -37,14 +40,14 @@ class GeneralizedLinkingMatrix(NamedTuple):
 
 
 def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
-    """Build the generalized linking matrix of a diagram."""
+    """Build the generalized linking matrix of a diagram and its Hermite form."""
     k = diagram.k
     slopes = [topological_coefficient(c) for c in diagram.components]
     entries = tuple(
         tuple(slopes[i][0] if i == j else slopes[j][1] * diagram.linking[i][j]
               for j in range(k))
         for i in range(k))
-    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes))
+    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), hermite_form(entries))
 
 
 class HomologyPresentation(NamedTuple):
@@ -59,14 +62,11 @@ class HomologyPresentation(NamedTuple):
         return not self.invariant_factors and self.free_rank == 0
 
 
-def homology(q: GeneralizedLinkingMatrix, form: Optional[Matrix] = None) -> HomologyPresentation:
+def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
     """Present H_1 of the surgered manifold from the relation matrix Q: the
     invariant factors are the Smith diagonal entries > 1 of the echelon rows
-    H of Q's hermite_form (`form`, when the caller has it; the d3 report
-    shares it with its solve), and the free rank is k - rank H."""
-    if form is None:
-        form = hermite_form(q.entries)
-    echelon = [r[:q.k] for r in form if any(r[:q.k])]
+    H of Q's Hermite form, and the free rank is k - rank H."""
+    echelon = [r[:q.k] for r in q.form if any(r[:q.k])]
     factors = tuple(d for d in smith_diagonal(echelon) if d > 1)
     return HomologyPresentation(factors, q.k - len(echelon))
 
@@ -116,7 +116,7 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), knots)
 
 
-def diagram_signature(diagram: SurgeryDiagram) -> int:
+def diagram_signature(q: GeneralizedLinkingMatrix) -> int:
     """Signature of the generalized linking matrix Q, without expanding.
 
     Q is not symmetric in general, but with M = diag(m_1, ..., m_k) > 0 the
@@ -125,7 +125,6 @@ def diagram_signature(diagram: SurgeryDiagram) -> int:
     law of inertia, sigma(Q) = sigma(M*Q): the exact signature of a
     symmetric k x k integer matrix, at a cost independent of the m_i.
     """
-    q = linking_matrix(diagram)
     weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
     n_plus, _, n_minus = symmetric_signature(weighted)
     return n_plus - n_minus

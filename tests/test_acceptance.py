@@ -21,7 +21,7 @@ from surgeon import (
     classical_invariants,
     d3_closed_form,
     diagram_signature,
-    euler_class,
+    d3_report,
     expand_to_pm1,
     homology,
     invariant_report,
@@ -36,6 +36,7 @@ from surgeon import (
     to_diagram,
 )
 from surgeon.cli import load_diagram, main
+from surgeon.exactlin import hermite_form
 
 from helpers import (
     char_poly,
@@ -163,7 +164,7 @@ def _torsion_corpus(count=500, seed=170):
     corpus = []
     while len(corpus) < count:
         diagram = random_diagram(rng, k_max=3, m_max=4)
-        if euler_class(diagram).torsion:
+        if d3_report(diagram).torsion:
             corpus.append(diagram)
     return corpus
 
@@ -200,7 +201,7 @@ def test_signature_relation_randomized():
         n_plus, n_zero, n_minus = descartes_split(chi_q, k)
         assert n_zero == k - rational_rank(q.entries)
         sigma_q = n_plus - n_minus
-        assert diagram_signature(diagram) == sigma_q
+        assert diagram_signature(q) == sigma_q
         ep, _, em = symmetric_signature(expanded)
         assert ep - em == sigma_q + correction
 
@@ -219,7 +220,7 @@ def test_solver_oracle_equivalence():
         check_snf_invariants(matrix, smith_normal_form(matrix))
 
         images = image_set(matrix, bounds[ncols])
-        minimal = minimal_order_solve(matrix, vector)
+        minimal = minimal_order_solve(hermite_form(matrix), vector)
         rational = rational_gauss_solve(matrix, vector)
         assert (minimal is None) == (rational is None)
         if minimal is None:
@@ -268,9 +269,8 @@ def test_solution_independence():
                 assert tb_surgered(diagram, knot, shifted) == baseline
                 exercised_tb += 1
 
-        matrix = linking_matrix(diagram).entries
         rot = [c.rot for c in diagram.components]
-        solved = solve_rational(matrix, rot)
+        solved = solve_rational(linking_matrix(diagram).form, rot)
         if solved is None or not solved[1]:
             continue
         particular, kernel = solved
@@ -301,8 +301,8 @@ def test_front_anchors(tmp_path, capsys):
     assert code == 0
     loaded = load_diagram(str(emitted))
     source = parse_front((FRONTS / "surgery_demo.front").read_text())
-    assert loaded == to_diagram(source)
     front_data = classical_invariants(source)
+    assert loaded == to_diagram(source, front_data)
     assert loaded.components[0].tb == front_data.tb[0]
     assert loaded.components[0].rot == front_data.rot[0]
     assert loaded.knots[0].tb == front_data.tb[1]

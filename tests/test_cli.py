@@ -8,6 +8,7 @@ import pytest
 import surgeon.d3
 import surgeon.exactlin
 import surgeon.fronts
+import surgeon.invariants
 import surgeon.surgery
 from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, frac_str, main
 
@@ -228,6 +229,23 @@ class TestD3Command:
         code, _, _ = run(capsys, "d3", str(DIAGRAMS / name))
         assert code == 0
         assert sum(map(len, formed)) == forms
+
+
+@pytest.mark.parametrize("command,name,builds", [
+    # One linking matrix and its Hermite form serve b, d3 and H_1.
+    ("d3", "trefoil_chain_rot2.json", 1),
+    # The expansion has its own Q.
+    ("d3", "unknot_plus1_over_2.json", 2),
+    ("invariants", "trefoil_chain_rot2.json", 1),
+])
+def test_one_linking_matrix_per_command(capsys, monkeypatch, command, name, builds):
+    layers = (surgeon.surgery, surgeon.d3, surgeon.invariants)
+    for layer in layers:
+        vars(layer)  # load it now, so that no layer binds another's counted wrapper
+    built = [count_calls(monkeypatch, layer, "linking_matrix") for layer in layers]
+    code, _, _ = run(capsys, command, str(DIAGRAMS / name))
+    assert code == 0
+    assert sum(map(len, built)) == builds
 
 
 @pytest.mark.parametrize("argv", [

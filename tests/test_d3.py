@@ -10,8 +10,8 @@ from surgeon import (
     LegendrianComponent,
     SurgeryDiagram,
     d3_closed_form,
+    d3_report,
     d3_via_expansion,
-    euler_class,
     expand_to_pm1,
     linking_matrix,
     solve_rational,
@@ -28,7 +28,7 @@ def unknot_surgery(coeff):
 class TestEulerClass:
     def test_vanishing_rotation(self):
         for coeff in ("+1", "-1", "+1/3"):
-            ec = euler_class(unknot_surgery(coeff))
+            ec = d3_report(unknot_surgery(coeff))
             assert ec.coefficients == (0,)
             assert ec.torsion
             assert ec.b == (0,)
@@ -36,14 +36,14 @@ class TestEulerClass:
     def test_coefficients_scale_with_magnitude(self):
         diagram = SurgeryDiagram(
             (LegendrianComponent("L", -2, 1, ContactCoefficient.parse("-1/3")),), ((0,),))
-        assert euler_class(diagram).coefficients == (3,)
+        assert d3_report(diagram).coefficients == (3,)
 
     def test_invertible_matrix_is_torsion(self):
         diagram = SurgeryDiagram(
             (LegendrianComponent("trefoil", 1, 0, ContactCoefficient.parse("-1")),
              LegendrianComponent("chain", -1, 2, ContactCoefficient.parse("-1"))),
             ((0, 1), (1, 0)))
-        ec = euler_class(diagram)
+        ec = d3_report(diagram)
         assert ec.torsion
         matrix = linking_matrix(diagram).entries
         assert [sum(q * b for q, b in zip(row, ec.b)) for row in matrix] == [0, 2]
@@ -51,7 +51,7 @@ class TestEulerClass:
     def test_non_torsion(self):
         diagram = SurgeryDiagram(
             (LegendrianComponent("axis", -1, 2, ContactCoefficient.parse("+1")),), ((0,),))
-        ec = euler_class(diagram)
+        ec = d3_report(diagram)
         assert not ec.torsion
         assert ec.b is None
         assert d3_closed_form(diagram) is None
@@ -140,8 +140,8 @@ class TestClosedFormAgainstExpansion:
             if closed is None:
                 continue
             assert closed == oracle_d3_pm1(expand_to_pm1(diagram))
-            matrix = linking_matrix(diagram).entries
-            assert solve_rational(matrix, [c.rot for c in diagram.components])[1]
+            form = linking_matrix(diagram).form
+            assert solve_rational(form, [c.rot for c in diagram.components])[1]
             if any(c.coeff.magnitude > 1 for c in diagram.components) and diagram.k > 1:
                 checked += 1
 
@@ -149,7 +149,7 @@ class TestClosedFormAgainstExpansion:
         rng = random.Random(321)
         for _ in range(60):
             diagram = random_diagram(rng)
-            assert euler_class(diagram).torsion == euler_class(expand_to_pm1(diagram)).torsion
+            assert d3_report(diagram).torsion == d3_report(expand_to_pm1(diagram)).torsion
 
 
 class TestSolutionChoiceIndependence:
@@ -159,9 +159,10 @@ class TestSolutionChoiceIndependence:
             (LegendrianComponent("A", 0, 1, ContactCoefficient.parse("+1")),
              LegendrianComponent("B", 0, 1, ContactCoefficient.parse("+1"))),
             ((0, 1), (1, 0)))
-        matrix = linking_matrix(diagram).entries
+        q = linking_matrix(diagram)
+        matrix = q.entries
         rot = [c.rot for c in diagram.components]
-        particular, kernel = solve_rational(matrix, rot)
+        particular, kernel = solve_rational(q.form, rot)
         assert kernel
         weights = [c.coeff.magnitude * c.rot for c in diagram.components]
         base = sum(w * b for w, b in zip(weights, particular))
@@ -175,9 +176,8 @@ class TestSolutionChoiceIndependence:
         checked = 0
         while checked < 40:
             diagram = random_diagram(rng)
-            matrix = linking_matrix(diagram).entries
             rot = [c.rot for c in diagram.components]
-            solved = solve_rational(matrix, rot)
+            solved = solve_rational(linking_matrix(diagram).form, rot)
             if solved is None or not solved[1]:
                 continue
             particular, kernel = solved

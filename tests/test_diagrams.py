@@ -116,8 +116,8 @@ def demo_diagram():
 RECORDS = {
     "CompanionKnot": lambda: CompanionKnot("K", "legendrian", [1], tb=-1, rot=0),
     "ContactCoefficient": lambda: ContactCoefficient(-1, 3),
+    "D3Report": lambda: surgeon.d3_report(demo_diagram()),
     "Diagnostic": lambda: Diagnostic("warning", "U: tb+rot even (tb=-1, rot=1)"),
-    "EulerClassVector": lambda: surgeon.euler_class(demo_diagram()),
     "FrontDocument": lambda: surgeon.parse_front("surgery S coeff -1\nevents:\nL1 R1"),
     "FrontInvariants": lambda: surgeon.classical_invariants(surgeon.parse_front("L1 L3 X2 X2 X2 R1 R1")),
     "GeneralizedLinkingMatrix": lambda: surgeon.linking_matrix(demo_diagram()),
@@ -125,7 +125,7 @@ RECORDS = {
     "InvariantReport": lambda: surgeon.invariant_report(demo_diagram(), "K"),
     "LegendrianComponent": lambda: unknot("-1/2"),
     "SNFDecomposition": lambda: surgeon.smith_normal_form([[2, 4], [6, 8]]),
-    "SolveResult": lambda: surgeon.minimal_order_solve([[2, 4]], [3]),
+    "SolveResult": lambda: surgeon.minimal_order_solve(surgeon.exactlin.hermite_form([[2, 4]]), [3]),
     "SurgeryDiagram": demo_diagram,
 }
 

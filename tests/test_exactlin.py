@@ -84,57 +84,57 @@ class TestSmithNormalForm:
 
 class TestSolvers:
     def test_invertible_system(self):
-        result = minimal_order_solve([[0, 1], [1, -2]], [1, 1])
+        result = minimal_order_solve(hermite_form([[0, 1], [1, -2]]), [1, 1])
         assert result.particular == (3, 1)
         assert result.kernel_basis == ()
         assert result.order == 1
 
     def test_stabilization_system(self):
-        result = minimal_order_solve([[0, -1], [-1, -3]], [1, 1])
+        result = minimal_order_solve(hermite_form([[0, -1], [-1, -3]]), [1, 1])
         assert result.order == 1
         assert result.particular == (2, -1)
 
     def test_zero_matrix_full_kernel(self):
-        result = minimal_order_solve([[0, 0], [0, 0]], [0, 0])
+        result = minimal_order_solve(hermite_form([[0, 0], [0, 0]]), [0, 0])
         assert result.order == 1
         assert result.particular == (0, 0)
         assert result.kernel_basis == ((1, 0), (0, 1))
 
     def test_unsolvable(self):
         # 5a = 2 has no integral solution: the minimal order exceeds 1
-        assert minimal_order_solve([[5]], [2]).order != 1
+        assert minimal_order_solve(hermite_form([[5]]), [2]).order != 1
 
     def test_minimal_order_single(self):
         # brute force: smallest d with 2d divisible by 5 is 5
-        result = minimal_order_solve([[5]], [2])
+        result = minimal_order_solve(hermite_form([[5]]), [2])
         assert result.order == 5
         assert result.particular == (2,)
 
     def test_minimal_order_nullhomologous(self):
-        result = minimal_order_solve([[0, 1], [1, -2]], [1, 1])
+        result = minimal_order_solve(hermite_form([[0, 1], [1, -2]]), [1, 1])
         assert result.order == 1
         assert result.particular == (3, 1)
 
     def test_minimal_order_no_rational_preimage(self):
-        assert minimal_order_solve([[0, 0], [0, 0]], [1, 0]) is None
+        assert minimal_order_solve(hermite_form([[0, 0], [0, 0]]), [1, 0]) is None
 
     def test_rational_zero_rhs(self):
-        particular, kernel = solve_rational([[-2]], [0])
+        particular, kernel = solve_rational(hermite_form([[-2]]), [0])
         assert particular == (0,)
         assert kernel == ()
 
     def test_rational_back_substitution(self):
         matrix = [[0, 1], [1, -2]]
-        particular, _ = solve_rational(matrix, [0, 2])
+        particular, _ = solve_rational(hermite_form(matrix), [0, 2])
         assert particular == (2, 0)
         assert t_mat_vec(matrix, particular) == [0, 2]
 
     def test_rational_unsolvable(self):
-        assert solve_rational([[0, 0], [0, 0]], [1, 0]) is None
+        assert solve_rational(hermite_form([[0, 0], [0, 0]]), [1, 0]) is None
 
     def test_rational_fraction_rhs(self):
         matrix = [[2, 0], [0, 3]]
-        particular, _ = solve_rational(matrix, [Fraction(1, 2), Fraction(2, 5)])
+        particular, _ = solve_rational(hermite_form(matrix), [Fraction(1, 2), Fraction(2, 5)])
         assert particular == (Fraction(1, 4), Fraction(2, 15))
 
     @settings(max_examples=120, deadline=None)
@@ -143,7 +143,7 @@ class TestSolvers:
         rng = random.Random(seed)
         matrix = random_int_matrix(rng, nrows, ncols)
         vector = [rng.randint(-5, 5) for _ in range(nrows)]
-        result = minimal_order_solve(matrix, vector)
+        result = minimal_order_solve(hermite_form(matrix), vector)
         rational = rational_gauss_solve(matrix, vector)
         if rational is None:
             assert result is None
@@ -155,7 +155,7 @@ class TestSolvers:
             assert t_mat_vec(matrix, kv) == [0] * nrows
 
     def test_kernel_basis_is_deterministic_hermite(self):
-        basis = minimal_order_solve([[2, 4, 6]], [0]).kernel_basis
+        basis = minimal_order_solve(hermite_form([[2, 4, 6]]), [0]).kernel_basis
         assert basis == ((1, 1, -1), (0, 3, -2))
         for v in basis:
             assert t_mat_vec([[2, 4, 6]], v) == [0]
@@ -167,7 +167,7 @@ class TestSolvers:
         matrix = random_int_matrix(rng, nrows, nrows, -4, 4)
         vector = [rng.randint(-4, 4) for _ in range(nrows)]
         images = image_set(matrix, 12)
-        result = minimal_order_solve(matrix, vector)
+        result = minimal_order_solve(hermite_form(matrix), vector)
         solvable_orders = [d for d in range(1, 13)
                            if tuple(d * v for v in vector) in images]
         if result is None:
@@ -185,22 +185,33 @@ class TestOneFactorizationPerSolve:
 
     def test_minimal_order_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        assert minimal_order_solve(self.MATRIX, [3]).order == 2
+        assert minimal_order_solve(hermite_form(self.MATRIX), [3]).order == 2
         assert len(calls) == 1
 
     def test_solve_rational(self, monkeypatch):
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        particular, kernel = solve_rational(self.MATRIX, [3])
+        particular, kernel = solve_rational(hermite_form(self.MATRIX), [3])
         assert t_mat_vec(self.MATRIX, particular) == [3]
         assert len(kernel) == 2
         assert len(calls) == 1
 
     def test_given_form_is_not_recomputed(self, monkeypatch):
-        expected = solve_rational(self.MATRIX, [3])
+        # a solve substitutes into the form it is given and never factors
         form = hermite_form(self.MATRIX)
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        assert solve_rational(self.MATRIX, [3], form) == expected
+        assert minimal_order_solve(form, [3]).order == 2
+        particular, kernel = solve_rational(form, [3])
+        assert t_mat_vec(self.MATRIX, particular) == [3]
         assert calls == []
+
+    @pytest.mark.parametrize("matrix", [MATRIX, [[0, 1], [1, -2]]], ids=["1x3", "2x2"])
+    def test_vector_length_must_match_rows(self, matrix):
+        form = hermite_form(matrix)
+        for vector in ([], [3] * (len(matrix) + 1)):
+            with pytest.raises(ValueError, match="does not match matrix rows"):
+                minimal_order_solve(form, vector)
+            with pytest.raises(ValueError, match="does not match matrix rows"):
+                solve_rational(form, vector)
 
 
 # The rank-5 matrix on which the earlier pivot ping-pong SNF ran for 38 s
@@ -217,10 +228,10 @@ def check_solvers(matrix, vector, snf):
     and the order against the SNF: with w = U*v, M*a = n*v has an integral
     solution iff every nonzero d_i divides n*w_i."""
     nrows, ncols = len(matrix), len(matrix[0])
-    result = minimal_order_solve(matrix, vector)
+    result = minimal_order_solve(hermite_form(matrix), vector)
     rational = rational_gauss_solve(matrix, vector)
     assert (result is None) == (rational is None)
-    assert (solve_rational(matrix, vector) is None) == (rational is None)
+    assert (solve_rational(hermite_form(matrix), vector) is None) == (rational is None)
     if result is None:
         return
     assert t_mat_vec(matrix, result.particular) == [result.order * x for x in vector]
@@ -229,7 +240,7 @@ def check_solvers(matrix, vector, snf):
     assert len(result.kernel_basis) == ncols - rational_rank(matrix)
     for kv in result.kernel_basis:
         assert t_mat_vec(matrix, kv) == [0] * nrows
-    particular, kernel = solve_rational(matrix, vector)
+    particular, kernel = solve_rational(hermite_form(matrix), vector)
     assert t_mat_vec(matrix, particular) == list(vector)
     assert kernel == result.kernel_basis
 

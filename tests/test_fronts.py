@@ -169,6 +169,11 @@ class TestAgainstHandTracing:
             assert (inv.tb, inv.rot, inv.linking) == oracle_front_invariants(text), text
 
 
+def assemble(text):
+    doc = parse_front(text)
+    return to_diagram(doc, classical_invariants(doc))
+
+
 class TestToDiagram:
     DEMO = ("surgery S coeff -1\n"
             "companion K legendrian\n"
@@ -176,7 +181,7 @@ class TestToDiagram:
             "L1 L2 X1 X1 R2 R1\n")
 
     def test_demo_diagram(self):
-        diagram = to_diagram(parse_front(self.DEMO))
+        diagram = assemble(self.DEMO)
         assert validate(diagram) == []
         assert [c.name for c in diagram.components] == ["S"]
         assert diagram.components[0].tb == -1
@@ -189,30 +194,30 @@ class TestToDiagram:
             (LegendrianComponent("S", -1, 0, ContactCoefficient.parse("-1")),),
             ((0,),),
             (CompanionKnot("K", "legendrian", (1,), tb=-1, rot=0),))
-        assert to_diagram(parse_front(self.DEMO)) == expected
+        assert assemble(self.DEMO) == expected
 
     def test_missing_role(self):
         with pytest.raises(FrontError, match="no role header"):
-            to_diagram(parse_front("surgery S coeff +1\nevents:\nL1 R1 L1 R1"))
+            assemble("surgery S coeff +1\nevents:\nL1 R1 L1 R1")
 
     def test_missing_role_points_at_its_component(self):
         # The unheaded component is the second; its first event is the
         # third left cusp, after the trefoil's two.
         text = "surgery S coeff +1\nevents:\nL1 L3 X2 X2 X2 R1 R1\n  L1 R1\n"
         with pytest.raises(FrontError, match="component 2 has no role header") as excinfo:
-            to_diagram(parse_front(text))
+            assemble(text)
         assert (excinfo.value.line, excinfo.value.column) == (4, 3)
 
     def test_extra_role(self):
         with pytest.raises(FrontError, match="no matching component"):
-            to_diagram(parse_front("surgery S coeff +1\nsurgery T coeff +1\nevents:\nL1 R1"))
+            assemble("surgery S coeff +1\nsurgery T coeff +1\nevents:\nL1 R1")
 
     def test_transverse_companion_rejected(self):
         text = ("surgery S coeff +1\n"
                 "companion T transverse positive\n"
                 "events:\nL1 R1 L1 R1\n")
         with pytest.raises(FrontError, match="transverse"):
-            to_diagram(parse_front(text))
+            assemble(text)
 
     def test_component_names_fall_back(self):
         doc = parse_front("L1 R1 L1 R1")
@@ -222,7 +227,7 @@ class TestToDiagram:
         # the assembled diagram carries exactly the computed front data
         doc = parse_front(self.DEMO)
         inv = classical_invariants(doc)
-        diagram = to_diagram(doc)
+        diagram = to_diagram(doc, inv)
         assert diagram.components[0].tb == inv.tb[0]
         assert diagram.components[0].rot == inv.rot[0]
         assert diagram.knots[0].lk[0] == inv.linking[1][0]

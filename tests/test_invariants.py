@@ -11,7 +11,7 @@ from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
     SurgeryDiagram,
-    euler_class,
+    d3_report,
     invariant_report,
     order_and_solution,
     rot_surgered,
@@ -218,7 +218,7 @@ class TestSolutionDependence:
 
     def test_zero_euler_class_kills_dependence(self):
         diagram = self.singular_diagram(1)
-        ec = euler_class(diagram)
+        ec = d3_report(diagram)
         assert ec.torsion
         report = invariant_report(diagram, "K")
         assert all(shift == 0 for _, shift in report.seifert_shifts)

@@ -25,10 +25,10 @@ CHECKED_FILE = ROOT / "corpus" / "diagrams" / "trefoil_chain_rot2.json"
 LAZY = ("d3", "exactlin", "fronts", "invariants", "surgery")
 
 PUBLIC = """
-    CompanionKnot ContactCoefficient Diagnostic EulerClassVector FrontDocument FrontError
+    CompanionKnot ContactCoefficient D3Report Diagnostic FrontDocument FrontError
     FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
     LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
-    d3_closed_form d3_via_expansion diagram_signature euler_class expand_to_pm1 homology
+    d3_closed_form d3_report d3_via_expansion diagram_signature expand_to_pm1 homology
     invariant_report linking_matrix minimal_order_solve
     order_and_solution parse_front rot_surgered sl_surgered smith_normal_form solve_rational
     symmetric_signature tb_surgered to_diagram topological_coefficient validate
@@ -125,7 +125,7 @@ def test_tracer_installs_on_lazy_layers():
     """)
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
-    assert {"cli.main", "d3.euler_class", "exactlin.solve_rational", "surgery.homology",
+    assert {"cli.main", "d3.d3_report", "exactlin.solve_rational", "surgery.homology",
             "exactlin.hermite_form"} <= set(result["spans"])
 
 

@@ -12,7 +12,12 @@ known and compares the reports exactly:
   Geiges, Math. Proc. Camb. Phil. Soc. 136, 2004);
 * the +-1 expansion keeps every companion's order, tb, rot and sl, so the
   1/n formulas agree with their +-1 case on the expanded diagram (rot and
-  sl only where the relative homology class is unique).
+  sl only where the relative homology class is unique);
+* a handle slide, in its linking-matrix shadow (Ding and Geiges, "Handle
+  moves in contact surgery diagrams", J. Topol. 2, 2009): on a +-1 diagram
+  with an elementary matrix E, Q' = E*Q*E^T, rot' = E*rot and lk' = E*lk
+  keep d3, H_1, sigma(Q) and every companion's invariants.  No claim is
+  made about a Legendrian realisation of the slid knot.
 
 Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
 diagrams with det Q = 0, where the solutions a and b are not unique.
@@ -28,15 +33,16 @@ from surgeon import (
     LegendrianComponent,
     SurgeryDiagram,
     d3_closed_form,
+    d3_report,
     d3_via_expansion,
-    euler_class,
+    diagram_signature,
     expand_to_pm1,
     homology,
     invariant_report,
     linking_matrix,
 )
 
-from helpers import random_diagram, singular_diagram, t_mat_vec
+from helpers import random_diagram, singular_diagram, t_linking_matrix, t_mat_mul, t_mat_vec
 
 DRAWS = 300
 SINGULAR_DRAWS = 200
@@ -47,12 +53,12 @@ def _legendrian(rng, tb_range=(-3, 3), rot_bound=3):
     return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
 
 
-def random_case(rng, singular=False):
-    """A random diagram (k <= 3, m <= 4), singular when asked, with a
-    Legendrian companion K and a transverse companion T, both with random
+def random_case(rng, singular=False, k_max=3, m_max=4):
+    """A random diagram (k <= k_max, m <= m_max), singular when asked, with
+    a Legendrian companion K and a transverse companion T, both with random
     data."""
     draw = singular_diagram if singular else random_diagram
-    diagram = draw(rng, k_max=3, m_max=4, with_knot=True)
+    diagram = draw(rng, k_max=k_max, m_max=m_max, with_knot=True)
     tb, rot = _legendrian(rng)
     lk = [tuple(rng.randint(-2, 2) for _ in range(diagram.k)) for _ in range(2)]
     knots = (CompanionKnot("K", "legendrian", lk[0], tb=tb, rot=rot),
@@ -107,7 +113,7 @@ def test_reversing_every_orientation():
             assert [s for _, s in a.seifert_shifts] == [-s for _, s in b.seifert_shifts]
         assert homology(linking_matrix(reversed_)) == homology(linking_matrix(diagram))
         assert d3_values(reversed_) == d3_values(diagram), diagram
-        ec, ec_rev = euler_class(diagram), euler_class(reversed_)
+        ec, ec_rev = d3_report(diagram), d3_report(reversed_)
         assert ec_rev.coefficients == tuple(-c for c in ec.coefficients)
         assert ec_rev.torsion == ec.torsion
         if ec.torsion:
@@ -169,3 +175,35 @@ def test_companion_invariants_survive_the_expansion():
                 assert (a.rot, a.sl) == (b.rot, b.sl), diagram
                 compared += 1
     assert compared > DRAWS
+
+
+def handle_slide(rng, diagram):
+    """Slide a random component i of a +-1 diagram over another one j:
+    E = I + e*E_ij with e = +-1, Q' = E*Q*E^T, rot' = E*rot, lk' = E*lk
+    for each companion, and tb'_i = Q'_ii - s_i."""
+    k = diagram.k
+    i, j = rng.sample(range(k), 2)
+    e = [[int(r == c) for c in range(k)] for r in range(k)]
+    e[i][j] = rng.choice((1, -1))
+    q = t_mat_mul(t_mat_mul(e, t_linking_matrix(diagram)), [list(col) for col in zip(*e)])
+    rot = t_mat_vec(e, [c.rot for c in diagram.components])
+    return SurgeryDiagram(
+        tuple(c._replace(tb=q[r][r] - c.coeff.sign, rot=rot[r])
+              for r, c in enumerate(diagram.components)),
+        tuple(tuple(0 if r == c else q[r][c] for c in range(k)) for r in range(k)),
+        tuple(w._replace(lk=tuple(t_mat_vec(e, w.lk))) for w in diagram.knots))
+
+
+def test_handle_slides():
+    rng = random.Random(1705)
+    for i in range(DRAWS + SINGULAR_DRAWS):
+        diagram = random_case(rng, singular=i >= DRAWS, k_max=4, m_max=1)
+        while diagram.k < 2:
+            diagram = random_case(rng, singular=i >= DRAWS, k_max=4, m_max=1)
+        slid = handle_slide(rng, diagram)
+        before, after = d3_report(diagram), d3_report(slid)
+        assert (after.d3, after.homology) == (before.d3, before.homology), diagram
+        assert diagram_signature(linking_matrix(slid)) == diagram_signature(linking_matrix(diagram))
+        slid_reports = reports(slid)
+        for name, report in reports(diagram).items():
+            assert_same_up_to_shifts(report, slid_reports[name])

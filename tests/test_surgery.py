@@ -104,11 +104,12 @@ class TestHomologyAgainstSmithForm:
         hom = homology(q)
         assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
         assert hom.free_rank == q.k - snf.rank
-        assert homology(q, hermite_form(q.entries)) == hom
+        assert q.form == hermite_form(q.entries)
 
     @staticmethod
     def bare(entries):
-        return GeneralizedLinkingMatrix(tuple(map(tuple, entries)), (1,) * len(entries))
+        entries = tuple(map(tuple, entries))
+        return GeneralizedLinkingMatrix(entries, (1,) * len(entries), hermite_form(entries))
 
     def test_dense(self):
         rng = random.Random(1201)
@@ -209,14 +210,15 @@ class TestExpansion:
 
 class TestSignature:
     def test_unknot_family(self):
-        assert diagram_signature(single("+1")) == 0
-        assert diagram_signature(single("+1/2")) == -1
-        assert diagram_signature(single("-1/2")) == -1
+        assert diagram_signature(linking_matrix(single("+1"))) == 0
+        assert diagram_signature(linking_matrix(single("+1/2"))) == -1
+        assert diagram_signature(linking_matrix(single("-1/2"))) == -1
 
     def test_pm1_reduces_to_symmetric_signature(self):
         diagram = pair(("+1", "-1"), (-1, -2), (0, 1), -1)
-        n_plus, _, n_minus = symmetric_signature(linking_matrix(diagram).entries)
-        assert diagram_signature(diagram) == n_plus - n_minus
+        q = linking_matrix(diagram)
+        n_plus, _, n_minus = symmetric_signature(q.entries)
+        assert diagram_signature(q) == n_plus - n_minus
 
     def test_char_poly_divides_expansion(self):
         rng = random.Random(11)
