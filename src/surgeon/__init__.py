@@ -23,7 +23,7 @@ _EXPORTS = {
                  "SurgeryDiagram", "topological_coefficient", "validate"),
     "d3": ("D3Report", "d3_closed_form", "d3_report", "d3_via_expansion"),
     "exactlin": ("SNFDecomposition", "SolveResult", "minimal_order_solve", "smith_normal_form",
-                 "solve_rational", "symmetric_signature"),
+                 "symmetric_signature"),
     "fronts": ("FrontDocument", "FrontError", "FrontInvariants", "classical_invariants",
                "parse_front", "to_diagram"),
     "invariants": ("InvariantReport", "invariant_report", "order_and_solution", "rot_surgered",

@@ -11,8 +11,9 @@ formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 - 1/2 + q with q the number of +1 coefficients.  The closed form never
 expands (sigma(Q) comes from diag(m)*Q).  `d3_report` reads the Euler
 class, b, d3 and H_1 off one presentation of the diagram: one linking
-matrix, one Hermite form, one solve of Q*b = rot, one signature and one
-Smith diagonal.  The central correctness check of this package evaluates
+matrix, one Hermite form, one solve, one signature and one Smith
+diagonal.  The solve is `minimal_order_solve` of Q*a = d*rot, and
+b = a / d.  The central correctness check of this package evaluates
 the closed form again on the +-1 expansion, where it is the classical
 formula.  That check is independent only when some m_i > 1: a +-1 diagram
 expands to itself, so both values come from the same Q, b and sigma.
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .diagrams import SurgeryDiagram
-from .exactlin import solve_rational
+from .exactlin import minimal_order_solve
 from .surgery import (HomologyPresentation, diagram_signature, expand_to_pm1, homology,
                       linking_matrix)
 
@@ -37,9 +38,10 @@ class D3Report(NamedTuple):
 
     `coefficients` lists m_i * rot_i, the Poincare dual of the Euler class
     in the meridian basis.  The class is torsion iff Q*b = rot has a
-    rational solution; `b` records the particular solution used (any two
-    choices give the same d3, but the report pins one for
-    reproducibility) and is None otherwise, as is `d3`.
+    rational solution; `b` is then a / d for the solution (d, a) of
+    Q*a = d*rot that `minimal_order_solve` prints, reduced modulo the
+    Hermite kernel basis, so it depends on (Q, rot) alone (any choice
+    gives the same d3).  Otherwise `b` is None, as is `d3`.
     """
 
     coefficients: tuple[int, ...]
@@ -56,11 +58,11 @@ def d3_report(diagram: SurgeryDiagram) -> D3Report:
     """Euler class, d3 by the closed form, and H_1 of the diagram."""
     q = linking_matrix(diagram)
     rot = [c.rot for c in diagram.components]
-    solved = solve_rational(q.form, rot)
+    solved = minimal_order_solve(q.form, rot)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))
     if solved is None:
         return D3Report(coefficients, None, None, homology(q))
-    b = solved[0]
+    b = tuple(Fraction(x, solved.order) for x in solved.particular)
     total = sum((m * x * c.rot + (3 - m) * c.coeff.sign
                  for c, m, x in zip(diagram.components, q.magnitudes, b)), Fraction(0))
     d3 = total / 4 - Fraction(3, 4) * diagram_signature(q) - Fraction(1, 2)

@@ -1,29 +1,30 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular transforms, minimal-order integer solving
-and rational solving with kernel bases, and the exact signature of
-symmetric integer matrices.
+Smith normal form with unimodular transforms, one minimal-order integer
+solve with its kernel basis, and the exact signature of symmetric integer
+matrices.
 
-Matrices are sequences of rows of Python integers (Fractions where rational
-input is allowed).  Everything runs on arbitrary-precision integers and no
-floating point is used anywhere.  One integer elimination, the row Hermite
-normal form `_hermite_rows`, does all the integer work.  One Hermite form
-of [M^T | I] (`hermite_form`) serves the solves, which take it in place of
-M and only substitute into its echelon rows, and H_1, by a Smith pass over
-those rows without transforms (`smith_diagonal`).  `smith_normal_form`
-(with transforms, after Kannan and Bachem) is kept for library callers and
-the benchmark's probe.  Back-reduction bounds the entries of the echelon
-rows and of D by their pivots.  The transforms are not size-reduced: on
-dense random 50 x 50 linking matrices, whose largest invariant factor has
-about 130 bits, the entries of U reach 130-260 bits and those of V about
-130.  The signature eliminates fraction-free, so its intermediates are
-minors and Hadamard's bound limits their size.
+Matrices are sequences of rows of Python integers.  Everything runs on
+arbitrary-precision integers and no floating point is used anywhere.  One
+integer elimination, the row Hermite normal form `_hermite_rows`, does all
+the integer work.  One Hermite form of [M^T | I] (`hermite_form`) serves
+the solve, `minimal_order_solve`, which takes it in place of M and only
+substitutes into its echelon rows, and H_1, by a Smith pass over those
+rows without transforms (`smith_diagonal`).  The solve answers M*a = d*v
+with d minimal and a reduced modulo the Hermite kernel basis, so a and
+the rational solution a / d of M*b = v depend on (M, v) alone.
+`smith_normal_form` (with transforms, after Kannan and Bachem) is kept for
+library callers and the benchmark's probe.  Back-reduction bounds the
+entries of the echelon rows and of D by their pivots.  The transforms are
+not size-reduced: on dense random 50 x 50 linking matrices, whose largest
+invariant factor has about 130 bits, the entries of U reach 130-260 bits
+and those of V about 130.  The signature eliminates fraction-free, so its
+intermediates are minors and Hadamard's bound limits their size.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -175,8 +176,10 @@ class SolveResult(NamedTuple):
     """A solution of M*a = order*v together with the integer kernel of M.
 
     `order` is the smallest positive integer for which the system admits an
-    integral solution; `particular` is one such solution and any other
-    differs from it by an integer combination of `kernel_basis`.
+    integral solution.  Any two such solutions differ by an integer
+    combination of `kernel_basis`, the Hermite-reduced kernel basis, and
+    `particular` is the one with 0 <= a[p] < v[p] at the pivot p (first
+    nonzero entry) of each basis vector v.
     """
 
     order: int
@@ -197,65 +200,42 @@ def hermite_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     return _freeze(_hermite_rows([c + e for c, e in zip(_transpose(rows, ncols), _identity(ncols))]))
 
 
-def _echelon_solve(form: Matrix, vector: Sequence) -> Optional[tuple[int, list[int], Matrix]]:
-    """Solve M*x = v over the rationals from `form`, the hermite_form of M.
-    Substituting v into the echelon rows, with ints over one common
-    denominator (the product of the pivots), gives the coordinates c of v
-    in that basis, and x = sum c_t u_t.  Returns (den, num, kernel) with
-    x = num / den, or None when there is no solution.
+def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveResult]:
+    """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
+
+    The echelon rows (h_t, u_t) of `form`, the hermite_form of M, extend to
+    a basis of the lattice of pairs (M*u, u).  Substituting v into the rows
+    h_t, with ints over one common denominator (the product of the
+    pivots), gives the coordinates c_t of v, and x = sum c_t u_t = num / den
+    solves M*x = v.  M*a = d*v has an integral solution iff every d*c_t is
+    an integer, and the u_t being part of a unimodular basis gives
+    d = den / gcd(den, num) and a = d*x.  The other solutions differ from a
+    by the span of the Hermite-reduced kernel basis, so reducing a into
+    [0, pivot) at each kernel pivot in turn picks one by (M, v) alone (see
+    SolveResult).  Returns None iff v has no rational preimage.
     """
     nrows = len(vector)
     if form and len(form[0]) != len(form) + nrows:  # a row (h, u) has nrows + ncols entries
         raise ValueError("vector length does not match matrix rows")
     rank = sum(1 for r in form if any(r[:nrows]))
     image = form[:rank]  # the rows (h, u) with h != 0; h is a row's first nrows entries
-    # A Fraction right-hand side v is w / scale with w integral.
-    scale = lcm(*(x.denominator for x in vector))
-    w = [int(x * scale) for x in vector]
-    den, coords = scale, []
+    den, coords = 1, []
     for h in image:
         p = next(j for j, x in enumerate(h) if x)
-        residual = w[p] * (den // scale) - sum(c * e[p] for c, e in zip(coords, image))
+        residual = vector[p] * den - sum(c * e[p] for c, e in zip(coords, image))
         den *= h[p]
         coords = [c * h[p] for c in coords] + [residual]
-    if any(w[j] * (den // scale) != sum(c * h[j] for c, h in zip(coords, image))
-           for j in range(nrows)):
+    if any(vector[j] * den != sum(c * h[j] for c, h in zip(coords, image)) for j in range(nrows)):
         return None
     num = [sum(c * r[nrows + i] for c, r in zip(coords, image)) for i in range(len(form))]
-    return den, num, tuple(r[nrows:] for r in form[rank:])
-
-
-def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveResult]:
-    """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
-
-    The echelon rows (h_t, u_t) of `form`, the hermite_form of M, extend to
-    a basis of the lattice of pairs (M*u, u), so M*a = d*v has an integral
-    solution iff d times each coordinate c_t of v in the rows h_t is an
-    integer.  With x = sum c_t u_t = num / den, the u_t being part of a
-    unimodular basis gives d = den / gcd(den, num) and a = d*x.  Returns
-    None iff v has no rational preimage.
-    """
-    solved = _echelon_solve(form, vector)
-    if solved is None:
-        return None
-    den, num, kernel = solved
     g = gcd(den, *num)
-    return SolveResult(den // g, tuple(x // g for x in num), kernel)
-
-
-def solve_rational(form: Matrix, vector: Sequence
-                   ) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]]:
-    """Solve M*b = v over the rationals, from `form`, the hermite_form of M.
-
-    The right-hand side may contain Fractions.  Returns (particular, kernel)
-    where the kernel is the Hermite-reduced integer kernel basis (it spans
-    the rational kernel as well), or None when the system is inconsistent.
-    """
-    solved = _echelon_solve(form, vector)
-    if solved is None:
-        return None
-    den, num, kernel = solved
-    return tuple(Fraction(x, den) for x in num), kernel
+    a = [x // g for x in num]
+    kernel = tuple(r[nrows:] for r in form[rank:])
+    for v in kernel:
+        p = next(j for j, x in enumerate(v) if x)
+        q = a[p] // v[p]
+        a = [x - q * y for x, y in zip(a, v)]
+    return SolveResult(den // g, tuple(a), kernel)
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:

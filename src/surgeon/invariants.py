@@ -15,7 +15,9 @@ the integral invariants; a single code path handles both cases.
 tb_M never depends on the choice of a.  rot_M (and sl_M) may: adding a
 kernel vector v of Q to a shifts rot_M by -(1/d) sum v_i q_i rot_i, so the
 report enumerates that shift for every kernel generator instead of
-silently fixing a relative homology class.
+silently fixing a relative homology class.  The a it prints is the one
+`minimal_order_solve` returns, reduced modulo the Hermite kernel basis of
+Q, so the printed rot_M and sl_M depend on the diagram and the knot alone.
 """
 
 from __future__ import annotations

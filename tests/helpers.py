@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import random
 import signal
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -257,7 +258,14 @@ def check_snf_invariants(matrix, snf):
 
 def count_calls(monkeypatch, module, name):
     """Wrap module.name in a counter for the rest of the test; the returned
-    list grows by one entry per call."""
+    list grows by one entry per call.
+
+    Every lazy `surgeon` layer is loaded first.  A layer loaded after the
+    wrapping would bind the counter through its `from .x import name`, and
+    counting that layer's binding too would count each call twice.
+    """
+    for layer in [m for key, m in sys.modules.items() if key.startswith("surgeon.")]:
+        vars(layer)  # reading a lazy layer's namespace runs its code
     calls = []
     original = getattr(module, name)
 

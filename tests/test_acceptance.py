@@ -30,7 +30,6 @@ from surgeon import (
     order_and_solution,
     parse_front,
     smith_normal_form,
-    solve_rational,
     symmetric_signature,
     tb_surgered,
     to_diagram,
@@ -270,10 +269,11 @@ def test_solution_independence():
                 exercised_tb += 1
 
         rot = [c.rot for c in diagram.components]
-        solved = solve_rational(linking_matrix(diagram).form, rot)
-        if solved is None or not solved[1]:
+        solved = minimal_order_solve(linking_matrix(diagram).form, rot)
+        if solved is None or not solved.kernel_basis:
             continue
-        particular, kernel = solved
+        particular = [Fraction(x, solved.order) for x in solved.particular]
+        kernel = solved.kernel_basis
         weights = [c.coeff.magnitude * c.rot for c in diagram.components]
         base = sum(w * b for w, b in zip(weights, particular))
         for v in kernel:

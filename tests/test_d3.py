@@ -14,10 +14,19 @@ from surgeon import (
     d3_via_expansion,
     expand_to_pm1,
     linking_matrix,
-    solve_rational,
+    minimal_order_solve,
 )
 
-from helpers import oracle_d3_pm1, random_diagram, singular_diagram
+from helpers import oracle_d3_pm1, random_diagram, singular_diagram, t_mat_vec
+
+
+def rational_solution(form, rot):
+    """(b, kernel basis) for Q*b = rot from minimal_order_solve's (d, a):
+    b = a / d, or None when there is no rational solution."""
+    solved = minimal_order_solve(form, rot)
+    if solved is None:
+        return None
+    return tuple(Fraction(x, solved.order) for x in solved.particular), solved.kernel_basis
 
 
 def unknot_surgery(coeff):
@@ -141,7 +150,7 @@ class TestClosedFormAgainstExpansion:
                 continue
             assert closed == oracle_d3_pm1(expand_to_pm1(diagram))
             form = linking_matrix(diagram).form
-            assert solve_rational(form, [c.rot for c in diagram.components])[1]
+            assert minimal_order_solve(form, [c.rot for c in diagram.components]).kernel_basis
             if any(c.coeff.magnitude > 1 for c in diagram.components) and diagram.k > 1:
                 checked += 1
 
@@ -162,7 +171,7 @@ class TestSolutionChoiceIndependence:
         q = linking_matrix(diagram)
         matrix = q.entries
         rot = [c.rot for c in diagram.components]
-        particular, kernel = solve_rational(q.form, rot)
+        particular, kernel = rational_solution(q.form, rot)
         assert kernel
         weights = [c.coeff.magnitude * c.rot for c in diagram.components]
         base = sum(w * b for w, b in zip(weights, particular))
@@ -177,7 +186,7 @@ class TestSolutionChoiceIndependence:
         while checked < 40:
             diagram = random_diagram(rng)
             rot = [c.rot for c in diagram.components]
-            solved = solve_rational(linking_matrix(diagram).form, rot)
+            solved = rational_solution(linking_matrix(diagram).form, rot)
             if solved is None or not solved[1]:
                 continue
             particular, kernel = solved
@@ -188,3 +197,33 @@ class TestSolutionChoiceIndependence:
                 assert sum(w * o for w, o in zip(weights, other)) == base
             assert d3_closed_form(diagram) == d3_via_expansion(diagram)
             checked += 1
+
+
+def test_b_depends_on_q_and_rot_alone():
+    # Replacing (tb, s) by (tb + 2s, -s) keeps Q_ii = tb + s and the parity
+    # of tb + rot, so a +-1 diagram keeps Q and rot while its d3 moves by
+    # the flipped signs.  The report's b, and the a = d*b it comes from,
+    # must not change, and a is reduced into [0, v[p]) at the pivot p of
+    # each kernel vector v.
+    rng = random.Random(1405)
+    checked = 0
+    while checked < 40:
+        diagram = singular_diagram(rng, k_max=4, m_max=1)
+        report = d3_report(diagram)
+        if not report.torsion:
+            continue
+        q = linking_matrix(diagram)
+        rot = [c.rot for c in diagram.components]
+        solved = minimal_order_solve(q.form, rot)
+        assert t_mat_vec(q.entries, report.b) == rot
+        assert report.b == tuple(Fraction(x, solved.order) for x in solved.particular)
+        for v in solved.kernel_basis:
+            p = next(j for j, x in enumerate(v) if x)
+            assert 0 <= solved.particular[p] < v[p]
+        flips = [rng.random() < 0.5 for _ in diagram.components]
+        flipped = diagram._replace(components=tuple(
+            c._replace(tb=c.tb + 2 * c.coeff.sign, coeff=ContactCoefficient(-c.coeff.sign, 1))
+            if flip else c for c, flip in zip(diagram.components, flips)))
+        assert linking_matrix(flipped).entries == q.entries
+        assert d3_report(flipped).b == report.b
+        checked += 1

@@ -14,7 +14,6 @@ from surgeon import (
     linking_matrix,
     minimal_order_solve,
     smith_normal_form,
-    solve_rational,
     symmetric_signature,
 )
 from surgeon.exactlin import hermite_form, smith_diagonal
@@ -119,23 +118,17 @@ class TestSolvers:
         assert minimal_order_solve(hermite_form([[0, 0], [0, 0]]), [1, 0]) is None
 
     def test_rational_zero_rhs(self):
-        particular, kernel = solve_rational(hermite_form([[-2]]), [0])
-        assert particular == (0,)
-        assert kernel == ()
+        result = minimal_order_solve(hermite_form([[-2]]), [0])
+        assert result == (1, (0,), ())
 
     def test_rational_back_substitution(self):
         matrix = [[0, 1], [1, -2]]
-        particular, _ = solve_rational(hermite_form(matrix), [0, 2])
-        assert particular == (2, 0)
-        assert t_mat_vec(matrix, particular) == [0, 2]
+        result = minimal_order_solve(hermite_form(matrix), [0, 2])
+        assert (result.order, result.particular) == (1, (2, 0))
+        assert t_mat_vec(matrix, result.particular) == [0, 2]
 
     def test_rational_unsolvable(self):
-        assert solve_rational(hermite_form([[0, 0], [0, 0]]), [1, 0]) is None
-
-    def test_rational_fraction_rhs(self):
-        matrix = [[2, 0], [0, 3]]
-        particular, _ = solve_rational(hermite_form(matrix), [Fraction(1, 2), Fraction(2, 5)])
-        assert particular == (Fraction(1, 4), Fraction(2, 15))
+        assert minimal_order_solve(hermite_form([[1, 2], [2, 4]]), [1, 0]) is None
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
@@ -179,29 +172,69 @@ class TestSolvers:
                 assert result.order in solvable_orders
 
 
+def pivot(v):
+    return next(j for j, x in enumerate(v) if x)
+
+
+class TestCanonicalSolution:
+    """The integral solutions of M*a = d*v are a coset of the integer kernel
+    lattice; the printed a is its one member with 0 <= a[p] < w[p] at the
+    pivot p of each Hermite kernel basis vector w."""
+
+    @staticmethod
+    def reduce(a, basis):
+        for w in basis:
+            q = a[pivot(w)] // w[pivot(w)]
+            a = [x - q * y for x, y in zip(a, w)]
+        return a
+
+    def test_kernel_shifts_reduce_to_the_printed_solution(self):
+        rng = random.Random(1404)
+        checked = 0
+        while checked < 300:
+            nrows, ncols = rng.randint(1, 4), rng.randint(2, 5)
+            inner = rng.randint(1, ncols - 1)  # rank < ncols: a nonzero kernel
+            matrix = t_mat_mul(random_int_matrix(rng, nrows, inner, -3, 3),
+                               random_int_matrix(rng, inner, ncols, -3, 3))
+            image = t_mat_vec(matrix, [rng.randint(-4, 4) for _ in range(ncols)])
+            g = gcd(*image) or 1
+            # an image vector divided by its content, so that orders d > 1 occur
+            vector = [x // g for x in image] if rng.random() < 0.5 else image
+            result = minimal_order_solve(hermite_form(matrix), vector)
+            a, basis = list(result.particular), result.kernel_basis
+            assert t_mat_vec(matrix, a) == [result.order * x for x in vector]
+            assert len(basis) == ncols - rational_rank(matrix)
+            pivots = [pivot(w) for w in basis]
+            assert pivots == sorted(set(pivots))
+            for i, w in enumerate(basis):
+                assert t_mat_vec(matrix, w) == [0] * nrows
+                assert 0 <= a[pivots[i]] < w[pivots[i]]
+                assert all(0 <= u[pivots[i]] < w[pivots[i]] for u in basis[:i])
+            shifted = a
+            for w in basis:
+                r = rng.randint(-9, 9)
+                shifted = [x + r * y for x, y in zip(shifted, w)]
+            assert self.reduce(shifted, basis) == a
+            checked += 1
+
+
 class TestOneFactorizationPerSolve:
     # a row with a two-dimensional kernel, so the kernel basis is needed too
     MATRIX = [[2, 4, 6]]
 
     def test_minimal_order_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        assert minimal_order_solve(hermite_form(self.MATRIX), [3]).order == 2
-        assert len(calls) == 1
-
-    def test_solve_rational(self, monkeypatch):
-        calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        particular, kernel = solve_rational(hermite_form(self.MATRIX), [3])
-        assert t_mat_vec(self.MATRIX, particular) == [3]
-        assert len(kernel) == 2
+        result = minimal_order_solve(hermite_form(self.MATRIX), [3])
+        assert result.order == 2
+        assert t_mat_vec(self.MATRIX, result.particular) == [6]
+        assert len(result.kernel_basis) == 2
         assert len(calls) == 1
 
     def test_given_form_is_not_recomputed(self, monkeypatch):
-        # a solve substitutes into the form it is given and never factors
+        # the solve substitutes into the form it is given and never factors
         form = hermite_form(self.MATRIX)
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
         assert minimal_order_solve(form, [3]).order == 2
-        particular, kernel = solve_rational(form, [3])
-        assert t_mat_vec(self.MATRIX, particular) == [3]
         assert calls == []
 
     @pytest.mark.parametrize("matrix", [MATRIX, [[0, 1], [1, -2]]], ids=["1x3", "2x2"])
@@ -210,8 +243,6 @@ class TestOneFactorizationPerSolve:
         for vector in ([], [3] * (len(matrix) + 1)):
             with pytest.raises(ValueError, match="does not match matrix rows"):
                 minimal_order_solve(form, vector)
-            with pytest.raises(ValueError, match="does not match matrix rows"):
-                solve_rational(form, vector)
 
 
 # The rank-5 matrix on which the earlier pivot ping-pong SNF ran for 38 s
@@ -224,14 +255,13 @@ DIVISIBILITY_5X3 = [[3, -1, 1], [-2, 4, 2], [3, 5, -6], [0, 6, 5], [2, 6, -4]]
 
 
 def check_solvers(matrix, vector, snf):
-    """minimal_order_solve and solve_rational against rational elimination,
-    and the order against the SNF: with w = U*v, M*a = n*v has an integral
-    solution iff every nonzero d_i divides n*w_i."""
+    """minimal_order_solve against rational elimination, and the order
+    against the SNF: with w = U*v, M*a = n*v has an integral solution iff
+    every nonzero d_i divides n*w_i."""
     nrows, ncols = len(matrix), len(matrix[0])
     result = minimal_order_solve(hermite_form(matrix), vector)
     rational = rational_gauss_solve(matrix, vector)
     assert (result is None) == (rational is None)
-    assert (solve_rational(hermite_form(matrix), vector) is None) == (rational is None)
     if result is None:
         return
     assert t_mat_vec(matrix, result.particular) == [result.order * x for x in vector]
@@ -240,9 +270,8 @@ def check_solvers(matrix, vector, snf):
     assert len(result.kernel_basis) == ncols - rational_rank(matrix)
     for kv in result.kernel_basis:
         assert t_mat_vec(matrix, kv) == [0] * nrows
-    particular, kernel = solve_rational(hermite_form(matrix), vector)
-    assert t_mat_vec(matrix, particular) == list(vector)
-    assert kernel == result.kernel_basis
+    b = [Fraction(x, result.order) for x in result.particular]
+    assert t_mat_vec(matrix, b) == list(vector)
 
 
 def check_dense_diagram(diagram, knots):

@@ -30,7 +30,7 @@ PUBLIC = """
     LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
     d3_closed_form d3_report d3_via_expansion diagram_signature expand_to_pm1 homology
     invariant_report linking_matrix minimal_order_solve
-    order_and_solution parse_front rot_surgered sl_surgered smith_normal_form solve_rational
+    order_and_solution parse_front rot_surgered sl_surgered smith_normal_form
     symmetric_signature tb_surgered to_diagram topological_coefficient validate
 """.split()
 
@@ -125,8 +125,30 @@ def test_tracer_installs_on_lazy_layers():
     """)
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
-    assert {"cli.main", "d3.d3_report", "exactlin.solve_rational", "surgery.homology",
+    assert {"cli.main", "d3.d3_report", "exactlin.minimal_order_solve", "surgery.homology",
             "exactlin.hermite_form"} <= set(result["spans"])
+
+
+def test_count_calls_loads_the_lazy_layers_first():
+    # With no layer loaded yet, wrapping exactlin's hermite_form used to
+    # let `surgery` bind the counter when it loaded; wrapping surgery's
+    # binding next then counted each call twice.
+    result = run_fresh(f"""
+        import json
+        import sys
+        sys.path.insert(0, {str(ROOT / "tests")!r})
+        import pytest
+        import surgeon.cli
+        from helpers import count_calls
+
+        assert state()["ran"] == []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            formed = [count_calls(monkeypatch, module, "hermite_form")
+                      for module in (surgeon.exactlin, surgeon.surgery)]
+            assert surgeon.cli.main(["d3", {str(CHECKED_FILE)!r}]) == 0
+        print(json.dumps(sum(map(len, formed))))
+    """)
+    assert result == 1
 
 
 def test_public_names_resolve_to_their_definitions():

@@ -20,7 +20,9 @@ known and compares the reports exactly:
   made about a Legendrian realisation of the slid knot.
 
 Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
-diagrams with det Q = 0, where the solutions a and b are not unique.
+diagrams with det Q = 0, where the solutions a and b are not unique.  The
+permutation and handle-slide relations also run on a few dense +-1
+diagrams with k = 8 to 12 (`dense_cases`), under a CPU limit.
 """
 
 import random
@@ -42,7 +44,15 @@ from surgeon import (
     linking_matrix,
 )
 
-from helpers import random_diagram, singular_diagram, t_linking_matrix, t_mat_mul, t_mat_vec
+from helpers import (
+    cpu_limit,
+    dense_diagram,
+    random_diagram,
+    singular_diagram,
+    t_linking_matrix,
+    t_mat_mul,
+    t_mat_vec,
+)
 
 DRAWS = 300
 SINGULAR_DRAWS = 200
@@ -65,6 +75,12 @@ def random_case(rng, singular=False, k_max=3, m_max=4):
              CompanionKnot("T", "transverse", lk[1], sl=rng.choice((-3, -1, 1)),
                            transverse_sign=rng.choice((1, -1))))
     return diagram._replace(knots=knots)
+
+
+def dense_cases(rng):
+    """Dense +-1 diagrams with k = 8, 10 and 12, with companions K1, K2
+    and T1."""
+    return [dense_diagram(rng, k) for k in (8, 10, 12)]
 
 
 def reports(diagram):
@@ -122,21 +138,27 @@ def test_reversing_every_orientation():
             assert t_mat_vec(q, [x + y for x, y in zip(ec.b, ec_rev.b)]) == [0] * diagram.k
 
 
+def check_permutation(rng, diagram):
+    order = list(range(diagram.k))
+    rng.shuffle(order)
+    permuted = SurgeryDiagram(
+        tuple(diagram.components[i] for i in order),
+        tuple(tuple(diagram.linking[i][j] for j in order) for i in order),
+        tuple(w._replace(lk=tuple(w.lk[i] for i in order)) for w in diagram.knots))
+    before, after = reports(diagram), reports(permuted)
+    for name in before:
+        assert_same_up_to_shifts(before[name], after[name])
+    assert homology(linking_matrix(permuted)) == homology(linking_matrix(diagram))
+    assert d3_values(permuted) == d3_values(diagram), diagram
+
+
 def test_permuting_the_surgery_components():
     rng = random.Random(1702)
     for i in range(DRAWS + SINGULAR_DRAWS):
-        diagram = random_case(rng, singular=i >= DRAWS)
-        order = list(range(diagram.k))
-        rng.shuffle(order)
-        permuted = SurgeryDiagram(
-            tuple(diagram.components[i] for i in order),
-            tuple(tuple(diagram.linking[i][j] for j in order) for i in order),
-            tuple(w._replace(lk=tuple(w.lk[i] for i in order)) for w in diagram.knots))
-        before, after = reports(diagram), reports(permuted)
-        for name in before:
-            assert_same_up_to_shifts(before[name], after[name])
-        assert homology(linking_matrix(permuted)) == homology(linking_matrix(diagram))
-        assert d3_values(permuted) == d3_values(diagram), diagram
+        check_permutation(rng, random_case(rng, singular=i >= DRAWS))
+    for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_permutation(rng, diagram)
 
 
 def test_ding_geiges_cancellation():
@@ -194,16 +216,23 @@ def handle_slide(rng, diagram):
         tuple(w._replace(lk=tuple(t_mat_vec(e, w.lk))) for w in diagram.knots))
 
 
+def check_handle_slide(rng, diagram):
+    slid = handle_slide(rng, diagram)
+    before, after = d3_report(diagram), d3_report(slid)
+    assert (after.d3, after.homology) == (before.d3, before.homology), diagram
+    assert diagram_signature(linking_matrix(slid)) == diagram_signature(linking_matrix(diagram))
+    slid_reports = reports(slid)
+    for name, report in reports(diagram).items():
+        assert_same_up_to_shifts(report, slid_reports[name])
+
+
 def test_handle_slides():
     rng = random.Random(1705)
     for i in range(DRAWS + SINGULAR_DRAWS):
         diagram = random_case(rng, singular=i >= DRAWS, k_max=4, m_max=1)
         while diagram.k < 2:
             diagram = random_case(rng, singular=i >= DRAWS, k_max=4, m_max=1)
-        slid = handle_slide(rng, diagram)
-        before, after = d3_report(diagram), d3_report(slid)
-        assert (after.d3, after.homology) == (before.d3, before.homology), diagram
-        assert diagram_signature(linking_matrix(slid)) == diagram_signature(linking_matrix(diagram))
-        slid_reports = reports(slid)
-        for name, report in reports(diagram).items():
-            assert_same_up_to_shifts(report, slid_reports[name])
+        check_handle_slide(rng, diagram)
+    for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_handle_slide(rng, diagram)
