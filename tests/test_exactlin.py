@@ -227,6 +227,14 @@ class TestOneFactorizationPerSolve:
         result = minimal_order_solve(hermite_form(self.MATRIX), [3])
         assert result.order == 2
         assert t_mat_vec(self.MATRIX, result.particular) == [6]
+        assert len(calls) == 1
+
+    def test_solve_rational(self, monkeypatch):
+        # the rational solution is the integral one divided by its order
+        calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
+        result = minimal_order_solve(hermite_form(self.MATRIX), [3])
+        particular = [Fraction(x, result.order) for x in result.particular]
+        assert t_mat_vec(self.MATRIX, particular) == [3]
         assert len(result.kernel_basis) == 2
         assert len(calls) == 1
 
