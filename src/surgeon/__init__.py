@@ -21,13 +21,12 @@ from . import diagrams
 _EXPORTS = {
     "diagrams": ("CompanionKnot", "ContactCoefficient", "Diagnostic", "LegendrianComponent",
                  "SurgeryDiagram", "topological_coefficient", "validate"),
-    "d3": ("D3Report", "d3_closed_form", "d3_report", "d3_via_expansion"),
+    "d3": ("D3Report", "d3_report", "d3_via_expansion"),
     "exactlin": ("SNFDecomposition", "SolveResult", "minimal_order_solve", "smith_normal_form",
                  "symmetric_signature"),
     "fronts": ("FrontDocument", "FrontError", "FrontInvariants", "classical_invariants",
                "parse_front", "to_diagram"),
-    "invariants": ("InvariantReport", "invariant_report", "order_and_solution", "rot_surgered",
-                   "sl_surgered", "tb_surgered"),
+    "invariants": ("InvariantReport", "invariant_report"),
     "surgery": ("GeneralizedLinkingMatrix", "HomologyPresentation", "diagram_signature",
                 "expand_to_pm1", "homology", "linking_matrix"),
 }

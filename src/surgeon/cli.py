@@ -340,6 +340,19 @@ def _cmd_d3(args) -> int:
     return 0
 
 
+def _write_diagram(diagram: SurgeryDiagram, path: str, described: str) -> None:
+    """Write a diagram file that `check` accepts, or raise UserError naming
+    the errors (`described` names the diagram) or the failed write."""
+    errors = [d.message for d in validate(diagram) if d.severity == "error"]
+    if errors:
+        raise UserError(f"{described} would be invalid: {'; '.join(errors)}")
+    payload = json.dumps(diagram_to_dict(diagram), indent=2) + "\n"
+    try:
+        Path(path).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        raise UserError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_expand(args) -> int:
     diagram = _checked_diagram(args.file)
     try:
@@ -347,14 +360,7 @@ def _cmd_expand(args) -> int:
     except ValueError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
     # A copy "X.j" may take the name of a companion knot.
-    errors = [d.message for d in validate(expanded) if d.severity == "error"]
-    if errors:
-        raise UserError(f"{args.file}: the expanded diagram would be invalid: {'; '.join(errors)}")
-    payload = json.dumps(diagram_to_dict(expanded), indent=2) + "\n"
-    try:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        raise UserError(f"{args.out}: {exc.strerror or exc}") from exc
+    _write_diagram(expanded, args.out, f"{args.file}: the expanded diagram")
     return 0
 
 
@@ -366,6 +372,10 @@ def _cmd_front(args) -> int:
         diagram = fronts.to_diagram(doc, inv) if args.emit_diagram else None
     except fronts.FrontError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
+    if args.emit_diagram:
+        # Before the table, so that a refused diagram (a companion may take
+        # the name of a surgery component) prints nothing.
+        _write_diagram(diagram, args.emit_diagram, f"{args.file}: the emitted diagram")
 
     if args.format == "json":
         data = {
@@ -385,13 +395,6 @@ def _cmd_front(args) -> int:
             print("linking:")
             for row in inv.linking:
                 print("  " + " ".join(f"{x:>3}" for x in row))
-
-    if args.emit_diagram:
-        payload = json.dumps(diagram_to_dict(diagram), indent=2) + "\n"
-        try:
-            Path(args.emit_diagram).write_text(payload, encoding="utf-8")
-        except OSError as exc:
-            raise UserError(f"{args.emit_diagram}: {exc.strerror or exc}") from exc
     return 0
 
 

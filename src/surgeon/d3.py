@@ -69,12 +69,6 @@ def d3_report(diagram: SurgeryDiagram) -> D3Report:
     return D3Report(coefficients, b, d3, homology(q))
 
 
-def d3_closed_form(diagram: SurgeryDiagram) -> Optional[Fraction]:
-    """d3 of the diagram's contact structure, or None when the Euler class
-    is not torsion."""
-    return d3_report(diagram).d3
-
-
 def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:
     """d3 by the closed form on the diagram's +-1 expansion, where it is
     the classical +-1 formula.
@@ -82,4 +76,4 @@ def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:
     Raises ValueError when the expansion would have more than
     surgery.EXPANSION_LIMIT components.
     """
-    return d3_closed_form(expand_to_pm1(diagram))
+    return d3_report(expand_to_pm1(diagram)).d3

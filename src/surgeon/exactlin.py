@@ -52,7 +52,7 @@ class SNFDecomposition(NamedTuple):
 
     U and V are square unimodular integer matrices and D is a rectangular
     diagonal matrix with nonnegative entries d1 | d2 | ... whose zeros
-    trail.  `rank` is the number of nonzero diagonal entries.
+    trail.
     """
 
     U: Matrix
@@ -63,10 +63,6 @@ class SNFDecomposition(NamedTuple):
     def diagonal(self) -> tuple[int, ...]:
         n = min(len(self.D), len(self.D[0]) if self.D else 0)
         return tuple(self.D[i][i] for i in range(n))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _hermite_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:

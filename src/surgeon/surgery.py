@@ -57,10 +57,6 @@ class HomologyPresentation(NamedTuple):
     invariant_factors: tuple[int, ...]
     free_rank: int
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
-
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
     """Present H_1 of the surgered manifold from the relation matrix Q: the

@@ -315,6 +315,15 @@ def t_linking_matrix(diagram):
              for j in range(len(comps))] for i, c in enumerate(comps)]
 
 
+def tb_pairing(diagram, v):
+    """sum_j v_j q_j l_j for a kernel vector v of Q and the diagram's first
+    companion: adding v to a solution a of Q*a = d*l changes tb_M by minus
+    this over d.  It is 0, since l = Q*a / d and diag(q)*Q is symmetric."""
+    assert t_mat_vec(t_linking_matrix(diagram), v) == [0] * len(v)
+    return sum(x * c.coeff.magnitude * w
+               for x, c, w in zip(v, diagram.components, diagram.knots[0].lk))
+
+
 def oracle_invariants(diagram, name):
     """(order, tb, rot, sl) of a companion, with None for the values its
     kind does not have.  Every coefficient must be +-1 and Q invertible

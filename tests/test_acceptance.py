@@ -19,7 +19,6 @@ from surgeon import (
     LegendrianComponent,
     SurgeryDiagram,
     classical_invariants,
-    d3_closed_form,
     diagram_signature,
     d3_report,
     expand_to_pm1,
@@ -27,11 +26,9 @@ from surgeon import (
     invariant_report,
     linking_matrix,
     minimal_order_solve,
-    order_and_solution,
     parse_front,
     smith_normal_form,
     symmetric_signature,
-    tb_surgered,
     to_diagram,
 )
 from surgeon.cli import load_diagram, main
@@ -41,15 +38,18 @@ from helpers import (
     char_poly,
     check_snf_invariants,
     descartes_split,
+    fraction_det,
     image_set,
     legendrian_pushoff_sl,
     oracle_d3_pm1,
+    oracle_invariants,
     poly_mul,
     random_diagram,
     random_int_matrix,
     rational_gauss_solve,
     rational_rank,
     t_mat_vec,
+    tb_pairing,
 )
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "corpus" / "diagrams"
@@ -80,7 +80,7 @@ def test_homology_sphere_files():
         assert report.order == 1
         assert report.solution == (3, 1)
         assert report.rot == expected
-        assert homology(linking_matrix(diagram)).is_trivial
+        assert homology(linking_matrix(diagram)) == ((), 0)
 
 
 @criterion(2, "single-component closed forms, integral and rational order")
@@ -145,16 +145,16 @@ def test_d3_unknot_family():
         return SurgeryDiagram(
             (LegendrianComponent("U", -1, 0, ContactCoefficient.parse(coeff)),), ((0,),))
 
-    assert d3_closed_form(unknot("+1")) == 0
+    assert d3_report(unknot("+1")).d3 == 0
     assert oracle_d3_pm1(expand_to_pm1(unknot("+1"))) == 0
     for n in (2, 3, 4, 5):
         expected = 1 - Fraction(n, 4)
-        assert d3_closed_form(unknot(f"+1/{n}")) == expected
+        assert d3_report(unknot(f"+1/{n}")).d3 == expected
         assert oracle_d3_pm1(expand_to_pm1(unknot(f"+1/{n}"))) == expected
     for n in (1, 2, 3):
         expected = Fraction(n, 4) - Fraction(1, 2)
         coeff = "-1" if n == 1 else f"-1/{n}"
-        assert d3_closed_form(unknot(coeff)) == expected
+        assert d3_report(unknot(coeff)).d3 == expected
         assert oracle_d3_pm1(expand_to_pm1(unknot(coeff))) == expected
 
 
@@ -171,7 +171,7 @@ def _torsion_corpus(count=500, seed=170):
 @criterion(6, "closed-form d3 equals the +-1 formula on 500 random torsion diagrams")
 def test_d3_equality_randomized():
     for diagram in _torsion_corpus():
-        closed = d3_closed_form(diagram)
+        closed = d3_report(diagram).d3
         expanded = oracle_d3_pm1(expand_to_pm1(diagram))
         assert closed is not None
         assert closed == expanded
@@ -246,30 +246,32 @@ def test_solution_independence():
     constructed = [singular((1, 1), (1, 1)), singular((1, -1), (2, 2)),
                    singular((-3, 1), (0, 0))]
     rng = random.Random(5150)
+    compared_tb = 0
     while len(constructed) < 40:
         diagram = random_diagram(rng, with_knot=True)
-        solution = order_and_solution(diagram, diagram.knots[0])
+        solution = minimal_order_solve(linking_matrix(diagram).form, diagram.knots[0].lk)
         if solution is not None and solution.kernel_basis:
             constructed.append(diagram)
+        elif (solution is not None and compared_tb < 100
+              and all(c.coeff.magnitude == 1 for c in diagram.components)
+              and fraction_det(linking_matrix(diagram).entries)):
+            assert invariant_report(diagram, "K").tb == oracle_invariants(diagram, "K")[1]
+            compared_tb += 1
 
     exercised_tb = exercised_pairing = 0
     for diagram in constructed:
         knot = diagram.knots[0]
-        solution = order_and_solution(diagram, knot)
-        if solution is not None and solution.kernel_basis:
-            baseline = tb_surgered(diagram, knot, solution)
-            for v in solution.kernel_basis:
-                shifted = type(solution)(
-                    solution.order,
-                    tuple(a + 2 * x for a, x in zip(solution.particular, v)),
-                    solution.kernel_basis)
-                assert t_mat_vec(linking_matrix(diagram).entries, shifted.particular) == \
-                    [solution.order * x for x in knot.lk]
-                assert tb_surgered(diagram, knot, shifted) == baseline
+        report = invariant_report(diagram, "K")
+        q = linking_matrix(diagram)
+        if report.order is not None and report.seifert_shifts:
+            for v, _ in report.seifert_shifts:
+                shifted = [a + 2 * x for a, x in zip(report.solution, v)]
+                assert t_mat_vec(q.entries, shifted) == [report.order * x for x in knot.lk]
+                assert tb_pairing(diagram, v) == 0
                 exercised_tb += 1
 
         rot = [c.rot for c in diagram.components]
-        solved = minimal_order_solve(linking_matrix(diagram).form, rot)
+        solved = minimal_order_solve(q.form, rot)
         if solved is None or not solved.kernel_basis:
             continue
         particular = [Fraction(x, solved.order) for x in solved.particular]
@@ -282,6 +284,7 @@ def test_solution_independence():
             exercised_pairing += 1
     assert exercised_tb >= 40
     assert exercised_pairing >= 3
+    assert compared_tb == 100
 
 
 @criterion(10, "front anchors and emit-diagram round trip")

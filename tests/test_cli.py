@@ -369,6 +369,20 @@ class TestFrontCommand:
                 "(document has 1)") in err
         assert not out_path.exists()
 
+    def test_emit_diagram_refuses_invalid_diagram(self, capsys, tmp_path):
+        # A companion named like a surgery component: the table alone is
+        # fine, but `check` would reject the diagram, so nothing is emitted.
+        path = tmp_path / "clash.front"
+        path.write_text("surgery A coeff +1\ncompanion A legendrian\nevents:\nL1 R1 L1 R1\n")
+        out_path = tmp_path / "diagram.json"
+        code, out, _ = run(capsys, "front", str(path))
+        assert code == 0 and out
+        code, out, err = run(capsys, "front", str(path), "--emit-diagram", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert f"{path}: the emitted diagram would be invalid: duplicate name 'A'" in err
+        assert not out_path.exists()
+
     def test_emit_diagram_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "front_diagram.json"
         code, out, _ = run(capsys, "front", str(FRONTS / "surgery_demo.front"),

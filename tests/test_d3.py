@@ -9,7 +9,6 @@ from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
     SurgeryDiagram,
-    d3_closed_form,
     d3_report,
     d3_via_expansion,
     expand_to_pm1,
@@ -63,7 +62,7 @@ class TestEulerClass:
         ec = d3_report(diagram)
         assert not ec.torsion
         assert ec.b is None
-        assert d3_closed_form(diagram) is None
+        assert d3_report(diagram).d3 is None
         assert d3_via_expansion(diagram) is None
 
 
@@ -82,20 +81,20 @@ class TestUnknotFamily:
     ])
     def test_closed_form_and_expansion_agree(self, coeff, expected):
         diagram = unknot_surgery(coeff)
-        assert d3_closed_form(diagram) == expected
+        assert d3_report(diagram).d3 == expected
         assert d3_via_expansion(diagram) == expected
 
     def test_closed_form_never_expands(self, monkeypatch):
         # The same family at n = 10**6: the closed form's cost must not
         # depend on n, so the push-off expansion may not run at all.
         def refuse(_diagram):
-            raise AssertionError("d3_closed_form expanded the diagram")
+            raise AssertionError("d3_report expanded the diagram")
 
         for module in (surgeon.surgery, surgeon.d3):
             monkeypatch.setattr(module, "expand_to_pm1", refuse)
         n = 10 ** 6
-        assert d3_closed_form(unknot_surgery(f"+1/{n}")) == 1 - Fraction(n, 4)
-        assert d3_closed_form(unknot_surgery(f"-1/{n}")) == Fraction(n, 4) - Fraction(1, 2)
+        assert d3_report(unknot_surgery(f"+1/{n}")).d3 == 1 - Fraction(n, 4)
+        assert d3_report(unknot_surgery(f"-1/{n}")).d3 == Fraction(n, 4) - Fraction(1, 2)
 
 
 class TestPm1Formula:
@@ -105,23 +104,23 @@ class TestPm1Formula:
     def test_plus_one_unknot(self):
         # Q = [0], sigma = 0, k = 1, one +1 coefficient
         assert oracle_d3_pm1(unknot_surgery("+1")) == 0
-        assert d3_closed_form(unknot_surgery("+1")) == 0
+        assert d3_report(unknot_surgery("+1")).d3 == 0
 
     def test_expanded_plus_half(self):
         expanded = expand_to_pm1(unknot_surgery("+1/2"))
         assert linking_matrix(expanded).entries == ((0, -1), (-1, 0))
         assert oracle_d3_pm1(expanded) == Fraction(1, 2)
-        assert d3_closed_form(expanded) == Fraction(1, 2)
+        assert d3_report(expanded).d3 == Fraction(1, 2)
 
     def test_expanded_minus_half(self):
         expanded = expand_to_pm1(unknot_surgery("-1/2"))
         assert linking_matrix(expanded).entries == ((-2, -1), (-1, -2))
         assert oracle_d3_pm1(expanded) == 0
-        assert d3_closed_form(expanded) == 0
+        assert d3_report(expanded).d3 == 0
 
     def test_empty_diagram_is_standard_tight_sphere(self):
         assert oracle_d3_pm1(SurgeryDiagram((), ())) == Fraction(-1, 2)
-        assert d3_closed_form(SurgeryDiagram((), ())) == Fraction(-1, 2)
+        assert d3_report(SurgeryDiagram((), ())).d3 == Fraction(-1, 2)
 
 
 class TestClosedFormAgainstExpansion:
@@ -130,7 +129,7 @@ class TestClosedFormAgainstExpansion:
         checked = 0
         while checked < 80:
             diagram = random_diagram(rng)
-            closed = d3_closed_form(diagram)
+            closed = d3_report(diagram).d3
             expanded = d3_via_expansion(diagram)
             assert (closed is None) == (expanded is None)
             if closed is not None:
@@ -144,7 +143,7 @@ class TestClosedFormAgainstExpansion:
         checked = 0
         while checked < 30:
             diagram = singular_diagram(rng)
-            closed = d3_closed_form(diagram)
+            closed = d3_report(diagram).d3
             assert closed == d3_via_expansion(diagram)
             if closed is None:
                 continue
@@ -195,7 +194,7 @@ class TestSolutionChoiceIndependence:
             for v in kernel:
                 other = [b + 2 * x for b, x in zip(particular, v)]
                 assert sum(w * o for w, o in zip(weights, other)) == base
-            assert d3_closed_form(diagram) == d3_via_expansion(diagram)
+            assert d3_report(diagram).d3 == d3_via_expansion(diagram)
             checked += 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import surgeon.exactlin
 from surgeon import (
-    d3_closed_form,
+    d3_report,
     invariant_report,
     linking_matrix,
     minimal_order_solve,
@@ -63,7 +63,7 @@ class TestSmithNormalForm:
     def test_rectangular_and_zero(self):
         snf_invariants_hold([[3, 6, 9]])
         snf_invariants_hold([[0, 0], [0, 0], [0, 0]])
-        assert smith_normal_form([[0, 0], [0, 0]]).rank == 0
+        assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
@@ -289,7 +289,7 @@ def check_dense_diagram(diagram, knots):
     q = [list(row) for row in linking_matrix(diagram).entries]
     with cpu_limit(10):
         reports = [invariant_report(diagram, name) for name in knots]
-        d3 = d3_closed_form(diagram)
+        d3 = d3_report(diagram).d3
         snf = smith_normal_form(q)
     det = fraction_det(q)
     assert det != 0

@@ -40,9 +40,11 @@ def run_cli(argv):
 
 
 def assert_user_outcome(argv):
+    """The exit code of one run, asserted to be 0 or 1."""
     code, err = run_cli(argv)
     assert code in (0, 1), (argv, code, err)
     assert "internal error" not in err, (argv, err)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +74,14 @@ front_texts = st.lists(
 def test_front_exit_codes(workdir, body, fmt, emit):
     path = workdir / "fuzz.front"
     path.write_bytes(body)
+    emitted = workdir / "emitted.json"
+    emitted.unlink(missing_ok=True)
     argv = ["front", str(path), "--format", fmt]
     if emit:
-        argv += ["--emit-diagram", str(workdir / "emitted.json")]
-    assert_user_outcome(argv)
+        argv += ["--emit-diagram", str(emitted)]
+    code = assert_user_outcome(argv)
+    if emit and code == 0:  # an emitted diagram is one that `check` accepts
+        assert run_cli(["check", str(emitted)])[0] == 0, body
 
 
 # ---------------------------------------------------------------------------

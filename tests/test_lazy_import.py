@@ -28,10 +28,9 @@ PUBLIC = """
     CompanionKnot ContactCoefficient D3Report Diagnostic FrontDocument FrontError
     FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
     LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
-    d3_closed_form d3_report d3_via_expansion diagram_signature expand_to_pm1 homology
-    invariant_report linking_matrix minimal_order_solve
-    order_and_solution parse_front rot_surgered sl_surgered smith_normal_form
-    symmetric_signature tb_surgered to_diagram topological_coefficient validate
+    d3_report d3_via_expansion diagram_signature expand_to_pm1 homology invariant_report
+    linking_matrix minimal_order_solve parse_front smith_normal_form symmetric_signature
+    to_diagram topological_coefficient validate
 """.split()
 
 # Prints, as JSON, the layers missing from sys.modules, the lazy layers

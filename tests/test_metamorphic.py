@@ -34,7 +34,6 @@ from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
     SurgeryDiagram,
-    d3_closed_form,
     d3_report,
     d3_via_expansion,
     diagram_signature,
@@ -88,7 +87,7 @@ def reports(diagram):
 
 
 def d3_values(diagram):
-    return d3_closed_form(diagram), d3_via_expansion(diagram)
+    return d3_report(diagram).d3, d3_via_expansion(diagram)
 
 
 def in_shift_span(x, shifts):

@@ -68,7 +68,7 @@ class TestLinkingMatrix:
 class TestHomology:
     def test_homology_sphere(self):
         hom = homology(linking_matrix(pair(("-1", "-1"), (1, -1), (0, 0), 1)))
-        assert hom.is_trivial
+        assert hom == ((), 0)
 
     def test_order_two(self):
         hom = homology(linking_matrix(single("-1")))  # topological -2 surgery
@@ -103,7 +103,7 @@ class TestHomologyAgainstSmithForm:
         snf = smith_normal_form(q.entries)
         hom = homology(q)
         assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
-        assert hom.free_rank == q.k - snf.rank
+        assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
         assert q.form == hermite_form(q.entries)
 
     @staticmethod
@@ -138,7 +138,7 @@ class TestHomologyAgainstSmithForm:
         q = linking_matrix(load_diagram(str(DIAGRAMS / "empty.json")))
         assert q.k == 0
         self.check(q)
-        assert homology(q).is_trivial
+        assert homology(q) == ((), 0)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 29, 50])
     def test_chains(self, k):
