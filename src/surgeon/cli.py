@@ -89,6 +89,11 @@ def _int_vector(value, where: str) -> tuple[int, ...]:
     return tuple(_require_int(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
+# The keys of a companion knot beyond name, kind and lk, per kind.
+_KNOT_KEYS = {LEGENDRIAN: ("tb", "rot"), TRANSVERSE: ("sl", "sign")}
+_SIGNS = {"positive": 1, "negative": -1}
+
+
 def diagram_from_dict(data: Any) -> SurgeryDiagram:
     if not isinstance(data, dict):
         raise UserError("diagram file must contain a JSON object")
@@ -125,25 +130,19 @@ def diagram_from_dict(data: Any) -> SurgeryDiagram:
         if not isinstance(raw, dict):
             raise UserError(f"{where}: expected an object")
         kind = _require_str(raw.get("kind", ""), f"{where}.kind")
-        if kind == LEGENDRIAN:
-            _check_keys(raw, {"name", "kind", "tb", "rot", "lk"}, {"name", "kind", "tb", "rot", "lk"}, where)
-            knots.append(CompanionKnot(
-                name=_require_str(raw["name"], f"{where}.name"), kind=kind,
-                lk=_int_vector(raw["lk"], f"{where}.lk"),
-                tb=_require_int(raw["tb"], f"{where}.tb"),
-                rot=_require_int(raw["rot"], f"{where}.rot")))
-        elif kind == TRANSVERSE:
-            _check_keys(raw, {"name", "kind", "sl", "sign", "lk"}, {"name", "kind", "sl", "sign", "lk"}, where)
-            sign = _require_str(raw["sign"], f"{where}.sign")
-            if sign not in ("positive", "negative"):
-                raise UserError(f"{where}.sign: expected 'positive' or 'negative', got {sign!r}")
-            knots.append(CompanionKnot(
-                name=_require_str(raw["name"], f"{where}.name"), kind=kind,
-                lk=_int_vector(raw["lk"], f"{where}.lk"),
-                sl=_require_int(raw["sl"], f"{where}.sl"),
-                transverse_sign=1 if sign == "positive" else -1))
-        else:
+        if kind not in _KNOT_KEYS:
             raise UserError(f"{where}.kind: expected 'legendrian' or 'transverse', got {kind!r}")
+        keys = {"name", "kind", "lk", *_KNOT_KEYS[kind]}
+        _check_keys(raw, keys, keys, where)
+        sign = None
+        if kind == TRANSVERSE:
+            sign = _require_str(raw["sign"], f"{where}.sign")
+            if sign not in _SIGNS:
+                raise UserError(f"{where}.sign: expected 'positive' or 'negative', got {sign!r}")
+        name = _require_str(raw["name"], f"{where}.name")
+        lk = _int_vector(raw["lk"], f"{where}.lk")
+        numbers = {key: _require_int(raw[key], f"{where}.{key}") for key in _KNOT_KEYS[kind] if key != "sign"}
+        knots.append(CompanionKnot(name, kind, lk, transverse_sign=_SIGNS.get(sign), **numbers))
 
     return SurgeryDiagram(tuple(components), linking, tuple(knots))
 
@@ -202,18 +201,9 @@ def load_diagram(path: str) -> SurgeryDiagram:
 
 def invariant_report_dict(report: invariants.InvariantReport) -> dict:
     if report.order is None:
-        return {
-            "knot": report.knot,
-            "kind": report.kind,
-            "order": "not rationally nullhomologous",
-            "solution": None,
-            "tb": None,
-            "rot": None,
-            "sl": None,
-            "seifert_dependence": None,
-        }
-    if report.unique_class:
-        dependence: Any = "unique"
+        dependence: Any = None
+    elif report.unique_class:
+        dependence = "unique"
     else:
         dependence = [
             {"kernel_vector": list(v), "rot_shift": frac_str(shift)}
@@ -222,8 +212,8 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
     return {
         "knot": report.knot,
         "kind": report.kind,
-        "order": report.order,
-        "solution": list(report.solution),
+        "order": "not rationally nullhomologous" if report.order is None else report.order,
+        "solution": None if report.solution is None else list(report.solution),
         "tb": None if report.tb is None else frac_str(report.tb),
         "rot": None if report.rot is None else frac_str(report.rot),
         "sl": None if report.sl is None else frac_str(report.sl),
@@ -368,7 +358,6 @@ def _cmd_front(args) -> int:
     try:
         doc = fronts.parse_front(_read_text(args.file))
         inv = fronts.classical_invariants(doc)
-        names = fronts.component_names(doc, inv.n_components)
         diagram = fronts.to_diagram(doc, inv) if args.emit_diagram else None
     except fronts.FrontError as exc:
         raise UserError(f"{args.file}: {exc}") from exc
@@ -379,27 +368,34 @@ def _cmd_front(args) -> int:
 
     if args.format == "json":
         data = {
-            "components": [
-                {"name": names[i], "tb": inv.tb[i], "rot": inv.rot[i]}
-                for i in range(inv.n_components)
-            ],
+            "components": [{"name": name, "tb": tb, "rot": rot}
+                           for name, tb, rot in zip(inv.names, inv.tb, inv.rot)],
             "linking": [list(row) for row in inv.linking],
         }
         print(json.dumps(data, indent=2))
     else:
-        width = max([len("component")] + [len(n) for n in names])
+        width = max([len("component")] + [len(n) for n in inv.names])
         print(f"{'component':<{width + 2}}{'tb':>5}{'rot':>5}")
-        for i in range(inv.n_components):
-            print(f"{names[i]:<{width + 2}}{inv.tb[i]:>5}{inv.rot[i]:>5}")
-        if inv.n_components > 1:
+        for name, tb, rot in zip(inv.names, inv.tb, inv.rot):
+            print(f"{name:<{width + 2}}{tb:>5}{rot:>5}")
+        if len(inv.names) > 1:
             print("linking:")
             for row in inv.linking:
                 print("  " + " ".join(f"{x:>3}" for x in row))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a UserError (exit 1) after the usage line;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UserError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="surgeon",
         description="Classical invariants of knots and contact structures "
                     "in contact (+-1/n)-surgery diagrams.")
@@ -435,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UserError as exc:
         print(f"{_paint('error', '31')}: {exc}", file=sys.stderr)

@@ -100,10 +100,6 @@ class CompanionKnot(_CompanionKnot):
     def is_legendrian(self) -> bool:
         return self.kind == LEGENDRIAN
 
-    @property
-    def is_transverse(self) -> bool:
-        return self.kind == TRANSVERSE
-
 
 _SurgeryDiagram = NamedTuple("_SurgeryDiagram", [
     ("components", tuple[LegendrianComponent, ...]), ("linking", tuple[tuple[int, ...], ...]),
@@ -139,9 +135,6 @@ class SurgeryDiagram(_SurgeryDiagram):
 class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.message}"
 
 
 def _parity_check(name: str, tb: int, rot: int, out: list[Diagnostic]) -> None:

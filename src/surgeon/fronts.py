@@ -199,16 +199,15 @@ def parse_front(text: str) -> FrontDocument:
 
 
 class FrontInvariants(NamedTuple):
-    """Classical invariants computed from one front document: per-component
-    tb and rot, and the symmetric matrix of pairwise linking numbers."""
+    """Classical invariants computed from one front document: per component
+    in trace order its display name (the header's name where one is
+    declared, K<i> otherwise), tb and rot, and the symmetric matrix of
+    pairwise linking numbers."""
 
+    names: tuple[str, ...]
     tb: tuple[int, ...]
     rot: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_components(self) -> int:
-        return len(self.tb)
 
 
 def _trace(doc: FrontDocument):
@@ -267,9 +266,16 @@ def _trace(doc: FrontDocument):
 
 
 def classical_invariants(doc: FrontDocument) -> FrontInvariants:
-    """tb and rot per component and all pairwise linking numbers."""
+    """Names, tb and rot per component and all pairwise linking numbers.
+
+    Raises FrontError at a role header beyond the last component.
+    """
     cusps, crossings, component, direction, starts = _trace(doc)
     n = len(starts)
+    if len(doc.roles) > n:
+        extra = doc.roles[n]
+        raise FrontError(f"role header {extra.name!r} has no matching component (document has {n})",
+                         extra.line, 1)
     cusp_count = [0] * n
     down = [0] * n
     up = [0] * n
@@ -306,21 +312,8 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
     tb = tuple(writhe[c] - cusp_count[c] // 2 for c in range(n))
     rot = tuple((down[c] - up[c]) // 2 for c in range(n))
     linking = tuple(tuple(lk2[a][b] // 2 for b in range(n)) for a in range(n))
-    return FrontInvariants(tb, rot, linking)
-
-
-def component_names(doc: FrontDocument, n_components: int) -> tuple[str, ...]:
-    """Display names: header names where declared, K<i> otherwise.
-
-    Raises FrontError at a role header beyond the last component.
-    """
-    if len(doc.roles) > n_components:
-        extra = doc.roles[n_components]
-        raise FrontError(
-            f"role header {extra.name!r} has no matching component (document has {n_components})",
-            extra.line, 1)
-    return tuple(doc.roles[i].name if i < len(doc.roles) else f"K{i + 1}"
-                 for i in range(n_components))
+    names = tuple(r.name for r in doc.roles) + tuple(f"K{i + 1}" for i in range(len(doc.roles), n))
+    return FrontInvariants(names, tb, rot, linking)
 
 
 def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
@@ -332,9 +325,7 @@ def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
     be entered numerically in a diagram file.  `inv` is
     classical_invariants(doc), so the front is not traced again.
     """
-    n = inv.n_components
-    if len(doc.roles) != n:
-        component_names(doc, n)  # raises at a role header beyond the last component
+    if len(doc.roles) < len(inv.names):
         *_, starts = _trace(doc)
         first_event = [ev for ev in doc.events if ev.kind == "L"][starts[len(doc.roles)] // 2]
         raise FrontError(

@@ -396,11 +396,11 @@ class TestFrontCommand:
 
     def test_emit_diagram_traces_once(self, capsys, monkeypatch, tmp_path):
         traced = count_calls(monkeypatch, surgeon.fronts, "classical_invariants")
-        named = count_calls(monkeypatch, surgeon.fronts, "component_names")
+        assembled = count_calls(monkeypatch, surgeon.fronts, "to_diagram")
         code, _, _ = run(capsys, "front", str(FRONTS / "surgery_demo.front"),
                          "--emit-diagram", str(tmp_path / "front_diagram.json"))
         assert code == 0
-        assert (len(traced), len(named)) == (1, 1)
+        assert (len(traced), len(assembled)) == (1, 1)
 
 
 class TestSerialization:
@@ -455,6 +455,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1
         assert "list" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--bogus"], "the following arguments are required: command"),
+        (["d3", str(DIAGRAMS / "nontorsion.json"), "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+    ])
+    def test_usage_error_is_exit_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: surgeon")
+        assert f"error: {message}" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: surgeon")
 
 
 class TestColor:

@@ -1,7 +1,8 @@
 """Exit-code fuzzing of the command line.
 
 Whatever the input file holds, `surgeon front`, `check`, `invariants`,
-`d3` and `expand` exit 0 or 1 and never report an internal error (exit 2).
+`d3` and `expand` exit 0 or 1 and never report an internal error (exit 2),
+and whatever the arguments, `main` returns 0 or 1 and raises nothing.
 The commands run in-process through `cli.main`, with stdout a strict UTF-8
 stream and stderr a backslash-escaping one, as in a UTF-8 terminal.
 """
@@ -10,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,41 @@ def assert_user_outcome(argv):
 
 
 # ---------------------------------------------------------------------------
+# arguments
+
+# Subcommands, flags and choices, good and bad, and file names: FILES
+# names a copy, made afresh for each example, of a corpus file.  Half the
+# argument lists start with a subcommand and a file, so that some succeed.
+# Any word can end up as the output path of `expand` or `--emit-diagram`,
+# so the runs start in the work directory.
+FILES = {"diagram.json": CORPUS / "diagrams" / "trefoil_chain_rot2.json",
+         "demo.front": CORPUS / "fronts" / "surgery_demo.front"}
+COMMANDS = ["check", "invariants", "d3", "expand", "front"]
+ARGV_WORDS = [*COMMANDS, "bogus", "--format", "json", "text", "xml", "--knot", "L0", "nope",
+              "--emit-diagram", "--bogus", "-x", "--", "-", "", *FILES, "out.json", "missing.json"]
+
+argv_lists = st.one_of(
+    st.lists(st.sampled_from(ARGV_WORDS), max_size=7),
+    st.builds(lambda command, path, rest: [command, path, *rest], st.sampled_from(COMMANDS),
+              st.sampled_from(list(FILES)), st.lists(st.sampled_from(ARGV_WORDS), max_size=4)))
+
+
+@FUZZ
+@given(words=argv_lists)
+def test_argv_exit_codes(workdir, words):
+    for path in workdir.iterdir():
+        path.unlink()
+    for name, source in FILES.items():
+        (workdir / name).write_bytes(source.read_bytes())
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert_user_outcome(words)
+    finally:
+        os.chdir(cwd)
+
+
+# ---------------------------------------------------------------------------
 # surgeon front
 
 FRONT_WORDS = [
@@ -58,15 +95,22 @@ FRONT_WORDS = [
     "#", "# a comment", "junk", "\u00e9", "\u2028", "\x0b", "\r", "\r\n", "\t", " ",
     "\n", "\n",  # twice, for more multi-line documents
     "surgery S coeff -1\n", "companion K legendrian\n", "companion T transverse positive\n",
+    "companion S legendrian\n",  # named like the surgery component: `check` rejects the diagram
     "events:\n", "L1 R1", "L1 L2 X1 X1 R2 R1", "L1 L3 X2 X2 X2 R1 R1",
 ]
 FRONT_BYTES = [b"\xff", b"\xfe", b"\xc3", b"\xe2\x82", b"\x80", b"\x00"]
 
-front_texts = st.lists(
-    st.one_of(st.sampled_from(FRONT_WORDS).map(str.encode), st.sampled_from(FRONT_BYTES),
-              st.binary(max_size=3)),
-    max_size=40,
-).map(b" ".join)
+# Half the documents give each of one to three knots a role header, so that
+# `--emit-diagram` often gets as far as assembling a diagram.
+HEADER_WORDS = [w for w in FRONT_WORDS if w.startswith(("surgery ", "companion "))]
+KNOT_EVENTS = ["L1 R1", "L1 X1 R1", "L1 L3 X2 X2 X2 R1 R1"]
+
+front_texts = st.one_of(
+    st.lists(st.one_of(st.sampled_from(FRONT_WORDS).map(str.encode), st.sampled_from(FRONT_BYTES),
+                       st.binary(max_size=3)), max_size=40).map(b" ".join),
+    st.lists(st.tuples(st.sampled_from(HEADER_WORDS), st.sampled_from(KNOT_EVENTS)), min_size=1, max_size=3)
+    .map(lambda knots: ("".join(h for h, _ in knots) + "events:\n" + " ".join(e for _, e in knots)).encode()),
+)
 
 
 @FUZZ

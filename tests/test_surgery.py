@@ -1,4 +1,5 @@
 import random
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,17 @@ from surgeon.cli import load_diagram
 from surgeon.exactlin import hermite_form
 from surgeon.surgery import EXPANSION_LIMIT
 
-from helpers import char_poly, poly_mul, random_diagram, random_int_matrix, singular_diagram, t_mat_mul
+from helpers import (
+    char_poly,
+    dense_diagram,
+    fraction_det,
+    poly_mul,
+    random_diagram,
+    random_int_matrix,
+    rational_gauss_solve,
+    singular_diagram,
+    t_mat_mul,
+)
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "corpus" / "diagrams"
 
@@ -145,6 +156,45 @@ class TestHomologyAgainstSmithForm:
         rng = random.Random(f"chain:{k}")
         for _ in range(3):
             self.check(linking_matrix(chain_diagram(rng, k)))
+
+
+class TestHomologyWithoutSmithForm:
+    """On a nonsingular Q, H_1 = Z^k / Q Z^k is finite of order |det Q|, and
+    its exponent, the largest invariant factor, is the least common
+    denominator of Q^-1: an oracle that shares no code with the Smith form.
+    Each test counts the nonsingular draws it checks, 2000 or more in all."""
+
+    @staticmethod
+    def check(q):
+        det = fraction_det(q.entries)
+        if det == 0:
+            return 0
+        hom = homology(q)
+        assert hom.free_rank == 0
+        assert prod(hom.invariant_factors) == abs(det)
+        columns = [rational_gauss_solve(q.entries, [int(i == j) for i in range(q.k)]) for j in range(q.k)]
+        assert max(hom.invariant_factors, default=1) == lcm(*(x.denominator for c in columns for x in c))
+        return 1
+
+    def test_random_diagrams(self):
+        rng = random.Random(1211)
+        assert sum(self.check(linking_matrix(random_diagram(rng))) for _ in range(1400)) >= 1350
+
+    def test_random_matrices(self):
+        rng = random.Random(1212)
+        bare = TestHomologyAgainstSmithForm.bare
+        assert sum(self.check(bare(random_int_matrix(rng, k, k))) for k in range(1, 5) for _ in range(160)) >= 600
+
+    def test_dense(self):
+        # rational_gauss_solve takes k^4 steps for Q^-1, so few large k
+        rng = random.Random(1213)
+        ks = [k for k in range(2, 11) for _ in range(3)] + [12, 16, 20]
+        assert sum(self.check(linking_matrix(dense_diagram(rng, k))) for k in ks) >= 28
+
+    def test_chains(self):
+        rng = random.Random(1214)
+        ks = [k for k in range(2, 13) for _ in range(2)] + [16, 20]
+        assert sum(self.check(linking_matrix(chain_diagram(rng, k))) for k in ks) >= 24
 
 
 class TestExpansion:
