@@ -35,6 +35,7 @@ from . import d3, fronts, invariants, surgery
 from .diagrams import (
     LEGENDRIAN,
     TRANSVERSE,
+    TRANSVERSE_SIGNS,
     CompanionKnot,
     ContactCoefficient,
     Diagnostic,
@@ -50,11 +51,6 @@ class UserError(Exception):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def frac_str(x) -> str:
-    """An int or Fraction as "p" or "p/q"."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
 
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -91,7 +87,6 @@ def _int_vector(value, where: str) -> tuple[int, ...]:
 
 # The keys of a companion knot beyond name, kind and lk, per kind.
 _KNOT_KEYS = {LEGENDRIAN: ("tb", "rot"), TRANSVERSE: ("sl", "sign")}
-_SIGNS = {"positive": 1, "negative": -1}
 
 
 def diagram_from_dict(data: Any) -> SurgeryDiagram:
@@ -137,12 +132,12 @@ def diagram_from_dict(data: Any) -> SurgeryDiagram:
         sign = None
         if kind == TRANSVERSE:
             sign = _require_str(raw["sign"], f"{where}.sign")
-            if sign not in _SIGNS:
+            if sign not in TRANSVERSE_SIGNS:
                 raise UserError(f"{where}.sign: expected 'positive' or 'negative', got {sign!r}")
         name = _require_str(raw["name"], f"{where}.name")
         lk = _int_vector(raw["lk"], f"{where}.lk")
         numbers = {key: _require_int(raw[key], f"{where}.{key}") for key in _KNOT_KEYS[kind] if key != "sign"}
-        knots.append(CompanionKnot(name, kind, lk, transverse_sign=_SIGNS.get(sign), **numbers))
+        knots.append(CompanionKnot(name, kind, lk, transverse_sign=TRANSVERSE_SIGNS.get(sign), **numbers))
 
     return SurgeryDiagram(tuple(components), linking, tuple(knots))
 
@@ -161,8 +156,8 @@ def diagram_to_dict(diagram: SurgeryDiagram) -> dict:
             knots.append({"name": w.name, "kind": w.kind, "tb": w.tb, "rot": w.rot,
                           "lk": list(w.lk)})
         else:
-            knots.append({"name": w.name, "kind": w.kind, "sl": w.sl,
-                          "sign": "positive" if w.transverse_sign > 0 else "negative",
+            sign = next(word for word, s in TRANSVERSE_SIGNS.items() if s == w.transverse_sign)
+            knots.append({"name": w.name, "kind": w.kind, "sl": w.sl, "sign": sign,
                           "lk": list(w.lk)})
     if knots:
         data["knots"] = knots
@@ -206,7 +201,7 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
         dependence = "unique"
     else:
         dependence = [
-            {"kernel_vector": list(v), "rot_shift": frac_str(shift)}
+            {"kernel_vector": list(v), "rot_shift": str(shift)}
             for v, shift in report.seifert_shifts
         ]
     return {
@@ -214,9 +209,9 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
         "kind": report.kind,
         "order": "not rationally nullhomologous" if report.order is None else report.order,
         "solution": None if report.solution is None else list(report.solution),
-        "tb": None if report.tb is None else frac_str(report.tb),
-        "rot": None if report.rot is None else frac_str(report.rot),
-        "sl": None if report.sl is None else frac_str(report.sl),
+        "tb": None if report.tb is None else str(report.tb),
+        "rot": None if report.rot is None else str(report.rot),
+        "sl": None if report.sl is None else str(report.sl),
         "seifert_dependence": dependence,
     }
 
@@ -229,12 +224,12 @@ def d3_report_dict(diagram: SurgeryDiagram) -> dict:
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT
         via_expansion = f"skipped: {exc}"
     else:
-        via_expansion = "undefined" if cross is None else frac_str(cross)
+        via_expansion = "undefined" if cross is None else str(cross)
     return {
         "euler_class": list(report.coefficients),
         "torsion": report.torsion,
-        "b": None if report.b is None else [frac_str(x) for x in report.b],
-        "d3_closed_form": "undefined" if report.d3 is None else frac_str(report.d3),
+        "b": None if report.b is None else [str(x) for x in report.b],
+        "d3_closed_form": "undefined" if report.d3 is None else str(report.d3),
         "d3_via_expansion": via_expansion,
         "homology": {
             "invariant_factors": list(report.homology.invariant_factors),
@@ -407,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of a companion knot in the surgered manifold")
     p.add_argument("file")
-    p.add_argument("--knot", help="name of the companion knot (optional when the file has exactly one)")
+    p.add_argument("--knot", help="name of the companion knot (optional when the file has exactly "
+                   "one); write --knot=NAME for a name that starts with '-'")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_invariants)
 

@@ -4,7 +4,7 @@ A diagram consists of an ordered Legendrian surgery link (each component
 carrying tb, rot and a reciprocal-integer contact surgery coefficient),
 the symmetric matrix of pairwise linking numbers, and a list of companion
 knots living in the link complement whose invariants in the surgered
-manifold are to be computed.
+manifold are to be computed.  `validate` checks the rules across records.
 
 Every record of the package is a `typing.NamedTuple`: an immutable,
 hashable value, copied with changes by `_replace` and equal to a plain
@@ -25,6 +25,7 @@ _COEFF_RE = re.compile(r"^([+-])1(?:/([1-9][0-9]*))?$")
 
 LEGENDRIAN = "legendrian"
 TRANSVERSE = "transverse"
+TRANSVERSE_SIGNS = {"positive": 1, "negative": -1}
 
 
 _ContactCoefficient = NamedTuple("_ContactCoefficient", [("sign", int), ("magnitude", int)])
@@ -86,7 +87,8 @@ class CompanionKnot(_CompanionKnot):
     Legendrian companions carry (tb, rot); transverse companions carry the
     self-linking number and an orientation sign (+1 positively transverse,
     -1 negatively transverse).  `lk` lists the linking numbers with the
-    surgery link components, in diagram order.
+    surgery link components, in diagram order.  Fields that do not fit the
+    kind raise ValueError, naming the knot, here and in `_replace`.
     """
 
     __slots__ = ()
@@ -94,6 +96,15 @@ class CompanionKnot(_CompanionKnot):
 
     def __new__(cls, name: str, kind: str, lk, tb: Optional[int] = None, rot: Optional[int] = None,
                 sl: Optional[int] = None, transverse_sign: Optional[int] = None) -> CompanionKnot:
+        if kind not in (LEGENDRIAN, TRANSVERSE):
+            raise ValueError(f"knot {name!r}: unknown knot kind {kind!r}")
+        own = ("tb", "rot") if kind == LEGENDRIAN else ("sl", "transverse_sign")
+        for field, value in (("tb", tb), ("rot", rot), ("sl", sl), ("transverse_sign", transverse_sign)):
+            if (value is None) == (field in own):
+                verb = "needs" if value is None else "cannot carry"
+                raise ValueError(f"knot {name!r}: a {kind} knot {verb} {field}")
+        if kind == TRANSVERSE and transverse_sign not in (1, -1):
+            raise ValueError(f"knot {name!r}: transverse sign must be +1 or -1, got {transverse_sign!r}")
         return super().__new__(cls, name, kind, tuple(lk), tb, rot, sl, transverse_sign)
 
     @property
@@ -145,11 +156,12 @@ def _parity_check(name: str, tb: int, rot: int, out: list[Diagnostic]) -> None:
 
 
 def validate(diagram: SurgeryDiagram) -> list[Diagnostic]:
-    """Check a diagram against the type invariants.
+    """Check a diagram against the rules that span its records.
 
     Returns an empty list iff the diagram is fully consistent.  Structural
-    problems (asymmetric linking matrix, wrong vector lengths, malformed
-    companion data) are errors; tb+rot parity violations are warnings.
+    problems (duplicate names, a linking matrix that is not square,
+    symmetric and zero on the diagonal, an lk vector of the wrong length)
+    are errors; tb+rot parity violations are warnings.
     """
     out: list[Diagnostic] = []
     k = diagram.k
@@ -176,26 +188,10 @@ def validate(diagram: SurgeryDiagram) -> list[Diagnostic]:
         _parity_check(c.name, c.tb, c.rot, out)
 
     for w in diagram.knots:
-        if w.kind not in (LEGENDRIAN, TRANSVERSE):
-            out.append(Diagnostic("error", f"{w.name}: unknown knot kind {w.kind!r}"))
-            continue
         if len(w.lk) != k:
-            out.append(Diagnostic(
-                "error", f"{w.name}: lk vector has length {len(w.lk)}, expected {k}"))
+            out.append(Diagnostic("error", f"{w.name}: lk vector has length {len(w.lk)}, expected {k}"))
         if w.is_legendrian:
-            if w.tb is None or w.rot is None:
-                out.append(Diagnostic("error", f"{w.name}: legendrian knot needs tb and rot"))
-            else:
-                _parity_check(w.name, w.tb, w.rot, out)
-            if w.sl is not None or w.transverse_sign is not None:
-                out.append(Diagnostic("error", f"{w.name}: legendrian knot cannot carry sl or a transverse sign"))
-        else:
-            if w.sl is None or w.transverse_sign is None:
-                out.append(Diagnostic("error", f"{w.name}: transverse knot needs sl and a transverse sign"))
-            elif w.transverse_sign not in (1, -1):
-                out.append(Diagnostic("error", f"{w.name}: transverse sign must be +1 or -1"))
-            if w.tb is not None or w.rot is not None:
-                out.append(Diagnostic("error", f"{w.name}: transverse knot cannot carry tb or rot"))
+            _parity_check(w.name, w.tb, w.rot, out)
 
     return out
 

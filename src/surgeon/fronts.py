@@ -63,6 +63,7 @@ from typing import NamedTuple, Optional
 from .diagrams import (
     LEGENDRIAN,
     TRANSVERSE,
+    TRANSVERSE_SIGNS,
     CompanionKnot,
     ContactCoefficient,
     LegendrianComponent,
@@ -129,9 +130,9 @@ def _parse_header(words, lineno: int) -> ComponentRole:
     sign = None
     rest = words[3:]
     if kind == TRANSVERSE:
-        if not rest or rest[0][0] not in ("positive", "negative"):
+        if not rest or rest[0][0] not in TRANSVERSE_SIGNS:
             fail("transverse companion needs 'positive' or 'negative'", words[2][1])
-        sign = 1 if rest[0][0] == "positive" else -1
+        sign = TRANSVERSE_SIGNS[rest[0][0]]
         rest = rest[1:]
     if rest:
         fail(f"unexpected token {rest[0][0]!r}", rest[0][1])

@@ -10,7 +10,7 @@ import surgeon.exactlin
 import surgeon.fronts
 import surgeon.invariants
 import surgeon.surgery
-from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, frac_str, main
+from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, main
 
 from helpers import count_calls, cpu_limit, random_diagram
 
@@ -157,6 +157,22 @@ class TestInvariantsCommand:
                            "--format", "text")
         assert code == 0
         assert "order: 3" in out
+
+    def test_knot_name_starting_with_a_dash(self, capsys, tmp_path):
+        data = json.loads((DIAGRAMS / "rational_order3.json").read_text())
+        data["knots"][0]["name"] = "-1/3"
+        path = tmp_path / "dash.json"
+        path.write_text(json.dumps(data))
+        # argparse reads a separate "-1/3" as an option, so the value needs "="
+        code, out, err = run(capsys, "invariants", str(path), "--knot", "-1/3")
+        assert (code, out) == (1, "")
+        assert "argument --knot: expected one argument" in err
+        code, out, _ = run(capsys, "invariants", str(path), "--knot=-1/3")
+        assert code == 0
+        assert json.loads(out)["knot"] == "-1/3"
+        with pytest.raises(SystemExit):
+            main(["invariants", "--help"])
+        assert "--knot=NAME" in capsys.readouterr().out
 
 
 class TestD3Command:
@@ -428,12 +444,6 @@ class TestSerialization:
             with pytest.raises(UserError) as info:
                 diagram_from_dict(data)
             assert str(info.value) == f"linking[37][12]: expected an integer, got {bad!r}"
-
-    def test_frac_str(self):
-        from fractions import Fraction
-        assert frac_str(Fraction(3)) == "3"
-        assert frac_str(Fraction(-5, 3)) == "-5/3"
-        assert frac_str(7) == "7"
 
 
 class TestExitCodes:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import surgeon
@@ -10,6 +13,9 @@ from surgeon import (
     topological_coefficient,
     validate,
 )
+from surgeon.cli import load_diagram
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def unknot(coeff="+1", tb=-1, rot=0, name="U"):
@@ -83,16 +89,15 @@ class TestValidate:
         assert any(d.severity == "error" and "length" in d.message for d in diags)
 
     def test_transverse_field_rules(self):
-        bad = CompanionKnot("T", "transverse", (0,), sl=-1)  # missing sign
-        diags = validate(SurgeryDiagram((unknot(),), ((0,),), (bad,)))
-        assert any(d.severity == "error" for d in diags)
+        # A companion knot checks its fields when it is built, not in validate.
+        with pytest.raises(ValueError, match="'T': a transverse knot needs transverse_sign"):
+            CompanionKnot("T", "transverse", (0,), sl=-1)
         good = CompanionKnot("T", "transverse", (0,), sl=-1, transverse_sign=1)
         assert validate(SurgeryDiagram((unknot(),), ((0,),), (good,))) == []
 
     def test_legendrian_cannot_carry_sl(self):
-        bad = CompanionKnot("K", "legendrian", (0,), tb=-1, rot=0, sl=3)
-        diags = validate(SurgeryDiagram((unknot(),), ((0,),), (bad,)))
-        assert any(d.severity == "error" for d in diags)
+        with pytest.raises(ValueError, match="'K': a legendrian knot cannot carry sl"):
+            CompanionKnot("K", "legendrian", (0,), tb=-1, rot=0, sl=3)
 
     def test_duplicate_names(self):
         diagram = SurgeryDiagram((unknot(name="A"), unknot(name="A")),
@@ -105,6 +110,63 @@ class TestValidate:
 
     def test_empty_diagram_is_valid(self):
         assert validate(SurgeryDiagram((), ())) == []
+
+
+LEGENDRIAN_FIELDS = {"tb": -1, "rot": 0}
+TRANSVERSE_FIELDS = {"sl": -1, "transverse_sign": 1}
+
+
+class TestCompanionKnot:
+    """Each kind's field rules, checked at construction and in _replace."""
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("smooth", LEGENDRIAN_FIELDS, "unknown knot kind 'smooth'"),
+        ("Legendrian", LEGENDRIAN_FIELDS, "unknown knot kind 'Legendrian'"),
+        ("legendrian", {"rot": 0}, "a legendrian knot needs tb"),
+        ("legendrian", {"tb": -1}, "a legendrian knot needs rot"),
+        ("legendrian", {**LEGENDRIAN_FIELDS, "sl": -1}, "a legendrian knot cannot carry sl"),
+        ("legendrian", {**LEGENDRIAN_FIELDS, "transverse_sign": 1},
+         "a legendrian knot cannot carry transverse_sign"),
+        ("transverse", {"transverse_sign": 1}, "a transverse knot needs sl"),
+        ("transverse", {"sl": -1}, "a transverse knot needs transverse_sign"),
+        ("transverse", {**TRANSVERSE_FIELDS, "tb": -1}, "a transverse knot cannot carry tb"),
+        ("transverse", {**TRANSVERSE_FIELDS, "rot": 0}, "a transverse knot cannot carry rot"),
+        ("transverse", {"sl": -1, "transverse_sign": 0}, "transverse sign must be +1 or -1, got 0"),
+        ("transverse", {"sl": -1, "transverse_sign": 2}, "transverse sign must be +1 or -1, got 2"),
+    ])
+    def test_invalid_fields_raise(self, kind, fields, message):
+        with pytest.raises(ValueError, match=f"^knot 'W': .*{re.escape(message)}"):
+            CompanionKnot("W", kind, (1,), **fields)
+        valid = CompanionKnot("W", "legendrian", (1,), **LEGENDRIAN_FIELDS)
+        cleared = dict.fromkeys(("tb", "rot", "sl", "transverse_sign"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            valid._replace(kind=kind, **{**cleared, **fields})
+
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_bad_sign_no_longer_reaches_the_report(self, sign):
+        # Accepted before the constructor checked: invariant_report then gave
+        # sl = -7/5 (sign 2) or -3/5 (sign 0) with no error.
+        good = CompanionKnot("T", "transverse", (1,), sl=-1, transverse_sign=1)
+        diagram = SurgeryDiagram(
+            (LegendrianComponent("L", -2, 1, ContactCoefficient(-1, 2)),), ((0,),), (good,))
+        assert surgeon.invariant_report(diagram, "T").sl == -1
+        with pytest.raises(ValueError, match="transverse sign must be"):
+            CompanionKnot("T", "transverse", (1,), sl=-1, transverse_sign=sign)
+
+    def test_valid_knots_construct(self):
+        legendrian = CompanionKnot("K", "legendrian", [1, 0], tb=0, rot=1)
+        transverse = CompanionKnot("T", "transverse", (), sl=-3, transverse_sign=-1)
+        assert legendrian.lk == (1, 0) and legendrian._replace(rot=-1).rot == -1
+        assert transverse._replace(transverse_sign=1).transverse_sign == 1
+        # every knot the readers build from the corpus
+        knots = [w for path in sorted(CORPUS.glob("diagrams/*.json"))
+                 for w in load_diagram(str(path)).knots]
+        for path in sorted(CORPUS.glob("fronts/*.front")):
+            doc = surgeon.parse_front(path.read_text())
+            if doc.roles and all(r.kind != "transverse" for r in doc.roles):
+                knots += surgeon.to_diagram(doc, surgeon.classical_invariants(doc)).knots
+        assert {w.kind for w in knots} == {"legendrian", "transverse"}
+        assert all(CompanionKnot._make(w) == w for w in knots)
 
 
 def demo_diagram():

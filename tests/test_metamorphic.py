@@ -21,9 +21,9 @@ known and compares the reports exactly:
   made about a Legendrian realisation of the slid knot.
 
 Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
-diagrams with det Q = 0, where the solutions a and b are not unique.  The
-permutation and handle-slide relations also run on a few dense +-1
-diagrams with k = 8 to 12 (`dense_cases`), under a CPU limit.
+diagrams with det Q = 0, where the solutions a and b are not unique.
+Each also runs on a few dense diagrams with k = 8 to 12 (`dense_cases`;
+the expansion on copies with two components at +-1/2), under a CPU limit.
 """
 
 import random
@@ -111,31 +111,37 @@ def assert_same_up_to_shifts(before, after):
     assert in_shift_span(delta, before.seifert_shifts), (before, after)
 
 
+def check_reversal(diagram):
+    reversed_ = SurgeryDiagram(
+        tuple(c._replace(rot=-c.rot) for c in diagram.components),
+        diagram.linking,
+        tuple(w._replace(rot=-w.rot) if w.is_legendrian
+              else w._replace(transverse_sign=-w.transverse_sign) for w in diagram.knots))
+    before, after = reports(diagram), reports(reversed_)
+    for name in before:
+        b, a = before[name], after[name]
+        assert (a.order, a.tb, a.sl) == (b.order, b.tb, b.sl), diagram
+        if b.rot is not None:
+            assert a.rot == -b.rot, diagram
+        assert [s for _, s in a.seifert_shifts] == [-s for _, s in b.seifert_shifts]
+    assert homology(linking_matrix(reversed_)) == homology(linking_matrix(diagram))
+    assert d3_values(reversed_) == d3_values(diagram), diagram
+    ec, ec_rev = d3_report(diagram), d3_report(reversed_)
+    assert ec_rev.coefficients == tuple(-c for c in ec.coefficients)
+    assert ec_rev.torsion == ec.torsion
+    if ec.torsion:
+        # -b solves the reversed system; the two choices differ by a kernel vector
+        q = linking_matrix(diagram).entries
+        assert t_mat_vec(q, [x + y for x, y in zip(ec.b, ec_rev.b)]) == [0] * diagram.k
+
+
 def test_reversing_every_orientation():
     rng = random.Random(1701)
     for i in range(DRAWS + SINGULAR_DRAWS):
-        diagram = random_case(rng, singular=i >= DRAWS)
-        reversed_ = SurgeryDiagram(
-            tuple(c._replace(rot=-c.rot) for c in diagram.components),
-            diagram.linking,
-            tuple(w._replace(rot=-w.rot) if w.is_legendrian
-                  else w._replace(transverse_sign=-w.transverse_sign) for w in diagram.knots))
-        before, after = reports(diagram), reports(reversed_)
-        for name in before:
-            b, a = before[name], after[name]
-            assert (a.order, a.tb, a.sl) == (b.order, b.tb, b.sl), diagram
-            if b.rot is not None:
-                assert a.rot == -b.rot, diagram
-            assert [s for _, s in a.seifert_shifts] == [-s for _, s in b.seifert_shifts]
-        assert homology(linking_matrix(reversed_)) == homology(linking_matrix(diagram))
-        assert d3_values(reversed_) == d3_values(diagram), diagram
-        ec, ec_rev = d3_report(diagram), d3_report(reversed_)
-        assert ec_rev.coefficients == tuple(-c for c in ec.coefficients)
-        assert ec_rev.torsion == ec.torsion
-        if ec.torsion:
-            # -b solves the reversed system; the two choices differ by a kernel vector
-            q = linking_matrix(diagram).entries
-            assert t_mat_vec(q, [x + y for x, y in zip(ec.b, ec_rev.b)]) == [0] * diagram.k
+        check_reversal(random_case(rng, singular=i >= DRAWS))
+    for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_reversal(diagram)
 
 
 def check_permutation(rng, diagram):
@@ -161,46 +167,69 @@ def test_permuting_the_surgery_components():
             check_permutation(rng, diagram)
 
 
+def check_cancellation(rng, diagram):
+    # a Legendrian unknot: tb <= -1, |rot| <= -tb - 1, tb + rot odd
+    tb = rng.randint(-4, -1)
+    rot = rng.choice(range(tb + 1, -tb, 2))
+    k = diagram.k
+    pair = (LegendrianComponent("L", tb, rot, ContactCoefficient(1, 1)),
+            LegendrianComponent("L'", tb, rot, ContactCoefficient(-1, 1)))
+    cancelled = SurgeryDiagram(
+        diagram.components + pair,
+        tuple(row + (0, 0) for row in diagram.linking)
+        + ((0,) * k + (0, tb), (0,) * k + (tb, 0)),
+        tuple(w._replace(lk=w.lk + (0, 0)) for w in diagram.knots))
+    before, after = reports(diagram), reports(cancelled)
+    for name in before:
+        assert_same_up_to_shifts(before[name], after[name])
+    assert homology(linking_matrix(cancelled)) == homology(linking_matrix(diagram))
+    assert d3_values(cancelled) == d3_values(diagram), diagram
+
+
 def test_ding_geiges_cancellation():
     rng = random.Random(1703)
     for i in range(DRAWS + SINGULAR_DRAWS):
-        diagram = random_case(rng, singular=i >= DRAWS)
-        # a Legendrian unknot: tb <= -1, |rot| <= -tb - 1, tb + rot odd
-        tb = rng.randint(-4, -1)
-        rot = rng.choice(range(tb + 1, -tb, 2))
-        k = diagram.k
-        pair = (LegendrianComponent("L", tb, rot, ContactCoefficient(1, 1)),
-                LegendrianComponent("L'", tb, rot, ContactCoefficient(-1, 1)))
-        cancelled = SurgeryDiagram(
-            diagram.components + pair,
-            tuple(row + (0, 0) for row in diagram.linking)
-            + ((0,) * k + (0, tb), (0,) * k + (tb, 0)),
-            tuple(w._replace(lk=w.lk + (0, 0)) for w in diagram.knots))
-        before, after = reports(diagram), reports(cancelled)
-        for name in before:
-            assert_same_up_to_shifts(before[name], after[name])
-        assert homology(linking_matrix(cancelled)) == homology(linking_matrix(diagram))
-        assert d3_values(cancelled) == d3_values(diagram), diagram
+        check_cancellation(rng, random_case(rng, singular=i >= DRAWS))
+    for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_cancellation(rng, diagram)
+
+
+def check_expansion(diagram):
+    """Compare every companion's report before and after the +-1 expansion;
+    returns how many were compared exactly and how many up to the shifts."""
+    before, after = reports(diagram), reports(expand_to_pm1(diagram))
+    exact = 0
+    for name in before:
+        b, a = before[name], after[name]
+        # order and tb never depend on the chosen solution
+        assert (a.order, a.tb) == (b.order, b.tb), diagram
+        if b.unique_class and a.unique_class:
+            assert (a.rot, a.sl) == (b.rot, b.sl), diagram
+            exact += 1
+        else:
+            assert_same_up_to_shifts(b, a)
+    return exact, len(before) - exact
 
 
 def test_companion_invariants_survive_the_expansion():
     rng = random.Random(1704)
     compared = shifted = 0
     for i in range(DRAWS + SINGULAR_DRAWS):
-        diagram = random_case(rng, singular=i >= DRAWS)
-        before, after = reports(diagram), reports(expand_to_pm1(diagram))
-        for name in before:
-            b, a = before[name], after[name]
-            # order and tb never depend on the chosen solution
-            assert (a.order, a.tb) == (b.order, b.tb), diagram
-            if b.unique_class and a.unique_class:
-                assert (a.rot, a.sl) == (b.rot, b.sl), diagram
-                compared += 1
-            else:
-                assert_same_up_to_shifts(b, a)
-                shifted += 1
+        exact, up_to_shifts = check_expansion(random_case(rng, singular=i >= DRAWS))
+        compared += exact
+        shifted += up_to_shifts
     assert compared > DRAWS
     assert shifted > 0
+    for diagram in dense_cases(rng):
+        # two components at +-1/2, so the expansion has its own Q, b and sigma
+        halved = diagram._replace(components=tuple(
+            c._replace(coeff=ContactCoefficient(c.coeff.sign, 2)) if i < 2 else c
+            for i, c in enumerate(diagram.components)))
+        with cpu_limit(10):
+            check_expansion(halved)
+            closed, via_expansion = d3_values(halved)
+            assert closed == via_expansion, halved
 
 
 def handle_slide(rng, diagram):
