@@ -90,13 +90,12 @@ class FrontEvent(NamedTuple):
 
 
 class ComponentRole(NamedTuple):
-    """Role header for one traced component."""
+    """Role header for one traced component.  A transverse header's sign
+    word is checked but not kept: `to_diagram` rejects transverse companions."""
 
-    role: str  # "surgery" or "companion"
+    kind: str  # "surgery", "legendrian" or "transverse"
     name: str
     coeff: Optional[ContactCoefficient]  # surgery only
-    kind: Optional[str]  # companion only
-    transverse_sign: Optional[int]  # transverse companions only
     reversed: bool
     line: int
 
@@ -122,21 +121,19 @@ def _parse_header(words, lineno: int) -> ComponentRole:
             coeff = ContactCoefficient.parse(words[3][0])
         except ValueError as exc:
             fail(str(exc), words[3][1])
-        return ComponentRole("surgery", words[1][0], coeff, None, None, rev, lineno)
+        return ComponentRole("surgery", words[1][0], coeff, rev, lineno)
     if len(words) < 3 or words[2][0] not in (LEGENDRIAN, TRANSVERSE):
         fail("expected: companion <name> legendrian|transverse [positive|negative] [reversed]",
              words[0][1])
     kind = words[2][0]
-    sign = None
     rest = words[3:]
     if kind == TRANSVERSE:
         if not rest or rest[0][0] not in TRANSVERSE_SIGNS:
             fail("transverse companion needs 'positive' or 'negative'", words[2][1])
-        sign = TRANSVERSE_SIGNS[rest[0][0]]
         rest = rest[1:]
     if rest:
         fail(f"unexpected token {rest[0][0]!r}", rest[0][1])
-    return ComponentRole("companion", words[1][0], None, kind, sign, rev, lineno)
+    return ComponentRole(kind, words[1][0], None, rev, lineno)
 
 
 def parse_front(text: str) -> FrontDocument:
@@ -267,7 +264,8 @@ def _trace(doc: FrontDocument):
 
 
 def classical_invariants(doc: FrontDocument) -> FrontInvariants:
-    """Names, tb and rot per component and all pairwise linking numbers.
+    """Names, tb and rot per component and all pairwise linking numbers;
+    rot is half the component's signed cusp count (+1 down, -1 up).
 
     Raises FrontError at a role header beyond the last component.
     """
@@ -278,8 +276,7 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
         raise FrontError(f"role header {extra.name!r} has no matching component (document has {n})",
                          extra.line, 1)
     cusp_count = [0] * n
-    down = [0] * n
-    up = [0] * n
+    rot2 = [0] * n
     writhe = [0] * n
     lk2 = [[0] * n for _ in range(n)]
 
@@ -289,11 +286,7 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
         # Entering arc: the leftward one at a left cusp, the rightward one
         # at a right cusp.  Entering on the upper branch means the strand
         # passes downward through the cusp.
-        entering_upper = direction[upper] == (-1 if kind == "L" else 1)
-        if entering_upper:
-            down[comp] += 1
-        else:
-            up[comp] += 1
+        rot2[comp] += 1 if direction[upper] == (-1 if kind == "L" else 1) else -1
 
     for over, under in crossings:
         # Over strand descends; parallel traversal makes the frame
@@ -311,7 +304,7 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
     if any(c % 2 for c in cusp_count) or any(x % 2 for row in lk2 for x in row):
         raise RuntimeError("odd cusp or mutual crossing count: the front tracing is inconsistent")
     tb = tuple(writhe[c] - cusp_count[c] // 2 for c in range(n))
-    rot = tuple((down[c] - up[c]) // 2 for c in range(n))
+    rot = tuple(r // 2 for r in rot2)
     linking = tuple(tuple(lk2[a][b] // 2 for b in range(n)) for a in range(n))
     names = tuple(r.name for r in doc.roles) + tuple(f"K{i + 1}" for i in range(len(doc.roles), n))
     return FrontInvariants(names, tb, rot, linking)
@@ -333,7 +326,7 @@ def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
             f"component {len(doc.roles) + 1} has no role header (missing coefficient or companion marker)",
             first_event.line, first_event.column)
 
-    surgery_idx = [i for i, r in enumerate(doc.roles) if r.role == "surgery"]
+    surgery_idx = [i for i, r in enumerate(doc.roles) if r.kind == "surgery"]
     components = tuple(
         LegendrianComponent(doc.roles[i].name, inv.tb[i], inv.rot[i], doc.roles[i].coeff)
         for i in surgery_idx)
@@ -341,7 +334,7 @@ def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
 
     knots = []
     for i, role in enumerate(doc.roles):
-        if role.role != "companion":
+        if role.kind == "surgery":
             continue
         if role.kind == TRANSVERSE:
             raise FrontError(

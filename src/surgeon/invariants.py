@@ -5,13 +5,14 @@ order d iff Q*a = d*l has an integral solution a with d minimal.  Writing
 q_i for the coefficient magnitudes, `invariant_report` gives the
 invariants in the surgered manifold as
 
-    tb_M  = tb  - (1/d) * sum_j a_j q_j l_j
-    rot_M = rot - (1/d) * sum_i a_i q_i rot_i
-    sl_M  = sl  - (1/d) * sum_i a_i q_i (l_i -+ rot_i)
+    tb_M  = tb  - dtb,   dtb  = (1/d) * sum_j a_j q_j l_j
+    rot_M = rot - drot,  drot = (1/d) * sum_i a_i q_i rot_i
+    sl_M  = sl  - dtb + t * drot
 
-with the upper sign for positively transverse knots: one pairing
-(1/d) * sum_i x_i q_i w_i of a solution x with weights w.  For d = 1 these
-are the integral invariants; a single code path handles both cases.
+for a transverse knot of sign t: sl_M is tb_M - t * rot_M of a Legendrian
+push-off, the paper's route to the sl formula.  Each correction is one
+pairing (1/d) * sum_i x_i q_i w_i of a solution x with weights w.  For
+d = 1 these are the integral invariants; one code path handles both.
 
 tb_M never depends on the choice of a.  rot_M (and sl_M) may: adding a
 kernel vector v of Q to a shifts rot_M by -(1/d) sum v_i q_i rot_i, so the
@@ -78,10 +79,9 @@ def invariant_report(diagram: SurgeryDiagram, name: str) -> InvariantReport:
     a = solved.particular
     rots = [c.rot for c in diagram.components]
     shifts = tuple((v, pairing(v, rots)) for v in solved.kernel_basis)
+    d_tb, d_rot = pairing(a, knot.lk), pairing(a, rots)
     if knot.is_legendrian:
         return InvariantReport(knot.name, knot.kind, solved.order, a,
-                               knot.tb - pairing(a, knot.lk), knot.rot - pairing(a, rots), None,
-                               shifts)
-    t = knot.transverse_sign
-    sl = knot.sl - pairing(a, [li - t * r for li, r in zip(knot.lk, rots)])
+                               knot.tb - d_tb, knot.rot - d_rot, None, shifts)
+    sl = knot.sl - d_tb + knot.transverse_sign * d_rot
     return InvariantReport(knot.name, knot.kind, solved.order, a, None, None, sl, shifts)

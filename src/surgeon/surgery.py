@@ -71,10 +71,10 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
     """Replace every 1/m coefficient by m push-off copies with coefficient 1.
 
     Each component with coefficient s/m becomes m parallel copies carrying
-    the same tb and rot and coefficient s/1.  Copies of one component link
-    each other with tb (push-offs of a Legendrian knot realize its contact
-    framing); copies of distinct components inherit the original linking
-    number, and companion lk entries are repeated per copy.
+    the same tb and rot and coefficient s/1.  Copies a != b of one origin
+    component link with its tb (push-offs of a Legendrian knot realize its
+    contact framing), other copies as their origins do, and a companion's
+    lk entry for copy a is its entry for the origin of a.
 
     Diagrams that already carry only +-1 coefficients are returned
     unchanged; otherwise copy j of component X is renamed "X.j".  Raises
@@ -96,20 +96,12 @@ def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:
                 f"{c.name}.{j + 1}", c.tb, c.rot, ContactCoefficient(c.coeff.sign, 1)))
             origin.append(i)
 
-    n = len(components)
-    linking = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            i, j = origin[a], origin[b]
-            linking[a][b] = diagram.components[i].tb if i == j else diagram.linking[i][j]
-
-    knots = tuple(
-        w._replace(lk=tuple(w.lk[origin[a]] for a in range(n)))
-        for w in diagram.knots)
-
-    return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), knots)
+    linking = tuple(
+        tuple(0 if a == b else diagram.components[i].tb if i == j else diagram.linking[i][j]
+              for b, j in enumerate(origin))
+        for a, i in enumerate(origin))
+    knots = tuple(w._replace(lk=tuple(w.lk[i] for i in origin)) for w in diagram.knots)
+    return SurgeryDiagram(tuple(components), linking, knots)
 
 
 def diagram_signature(q: GeneralizedLinkingMatrix) -> int:

@@ -53,10 +53,19 @@ class TestParser:
             "companion K legendrian\n"
             "companion T transverse negative\n"
             "events:\nL1 R1 L1 R1 L1 R1\n")
-        assert [r.role for r in doc.roles] == ["surgery", "companion", "companion"]
+        assert [r.kind for r in doc.roles] == ["surgery", "legendrian", "transverse"]
+        assert [r.name for r in doc.roles] == ["S", "K", "T"]
         assert str(doc.roles[0].coeff) == "-1/2"
-        assert doc.roles[0].reversed
-        assert doc.roles[2].transverse_sign == -1
+        assert doc.roles[1].coeff is None
+        assert [r.reversed for r in doc.roles] == [True, False, False]
+
+    @pytest.mark.parametrize("header", ["companion T transverse", "companion T transverse sideways",
+                                        "companion T transverse reversed"])
+    def test_transverse_header_needs_a_sign_word(self, header):
+        with pytest.raises(FrontError, match="transverse companion needs 'positive' or 'negative'") \
+                as excinfo:
+            parse_front(f"surgery S coeff +1\n{header}\nevents:\nL1 R1 L1 R1\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, header.index("transverse") + 1)
 
     def test_headers_require_marker(self):
         with pytest.raises(FrontError, match="events:"):

@@ -23,7 +23,11 @@ known and compares the reports exactly:
 Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
 diagrams with det Q = 0, where the solutions a and b are not unique.
 Each also runs on a few dense diagrams with k = 8 to 12 (`dense_cases`;
-the expansion on copies with two components at +-1/2), under a CPU limit.
+the expansion on copies with two components at +-1/2) and on diagrams read
+from chain fronts with k = 8 to 16 (`chain_front`; the handle slide on
+their +-1 expansion), under a CPU limit.  On a chain front, toggling
+"reversed" in every header must give the reversed diagram of the relation
+above: every rot negated, every tb and lk unchanged.
 """
 
 import random
@@ -41,7 +45,10 @@ from surgeon import (
     expand_to_pm1,
     homology,
     invariant_report,
+    classical_invariants,
     linking_matrix,
+    parse_front,
+    to_diagram,
 )
 
 from helpers import (
@@ -83,6 +90,49 @@ def dense_cases(rng):
     return [dense_diagram(rng, k) for k in (8, 10, 12)]
 
 
+def chain_front(rng, k, toggled=False):
+    """Front text of k clasped unknots C1..Ck and a Legendrian companion K
+    clasping Ck, each traversed a random way and carrying up to two random
+    zigzags, so tb <= -1 and rot varies.  Coefficients are +-1 and +-1/2,
+    with C1 at +-1/2 so that the expansion is never the identity.  The same
+    rng state with `toggled` gives the same front with every "reversed"
+    toggled."""
+    coeffs = [rng.choice(("+1/2", "-1/2"))] + [rng.choice(("+1", "-1", "+1/2", "-1/2"))
+                                               for _ in range(k - 1)]
+    headers = [f"surgery C{j + 1} coeff {c}" for j, c in enumerate(coeffs)]
+    headers.append("companion K legendrian")
+    headers = [h + " reversed" if (rng.random() < 0.5) != toggled else h for h in headers]
+    # Unknot j opens with its upper strand at position j; a zigzag on that
+    # strand is "L<j+1> R<j>" or "L<j> R<j+1>", one per rot direction; the
+    # clasp crosses it twice with the upper strand of unknot j - 1.
+    events = []
+    for j in range(1, k + 2):
+        events.append(f"L{j}")
+        for _ in range(rng.randint(0, 2)):
+            events += rng.choice(([f"L{j + 1}", f"R{j}"], [f"L{j}", f"R{j + 1}"]))
+        if j > 1:
+            events += [f"X{j - 1}", f"X{j - 1}"]
+    events += [f"R{j}" for j in range(k + 1, 0, -1)]
+    return "\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n"
+
+
+def front_diagram(text):
+    doc = parse_front(text)
+    return to_diagram(doc, classical_invariants(doc))
+
+
+def chain_cases(seed):
+    """Chain-front diagrams with k = 8, 12 and 16, each with the rng that
+    drew it, after checking that some component has rot != 0."""
+    cases = []
+    for k in (8, 12, 16):
+        rng = random.Random(seed * 100 + k)
+        diagram = front_diagram(chain_front(rng, k))
+        assert any(c.rot for c in diagram.components), diagram
+        cases.append((rng, diagram))
+    return cases
+
+
 def reports(diagram):
     return {w.name: invariant_report(diagram, w.name) for w in diagram.knots}
 
@@ -111,12 +161,18 @@ def assert_same_up_to_shifts(before, after):
     assert in_shift_span(delta, before.seifert_shifts), (before, after)
 
 
-def check_reversal(diagram):
-    reversed_ = SurgeryDiagram(
+def reverse(diagram):
+    """The diagram with every orientation reversed: rot and the transverse
+    sign negate, tb and lk stay."""
+    return SurgeryDiagram(
         tuple(c._replace(rot=-c.rot) for c in diagram.components),
         diagram.linking,
         tuple(w._replace(rot=-w.rot) if w.is_legendrian
               else w._replace(transverse_sign=-w.transverse_sign) for w in diagram.knots))
+
+
+def check_reversal(diagram):
+    reversed_ = reverse(diagram)
     before, after = reports(diagram), reports(reversed_)
     for name in before:
         b, a = before[name], after[name]
@@ -142,6 +198,17 @@ def test_reversing_every_orientation():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_reversal(diagram)
+    for _, diagram in chain_cases(1701):
+        with cpu_limit(10):
+            check_reversal(diagram)
+
+
+def test_reversing_every_front_header():
+    for k in (8, 12, 16):
+        diagram = front_diagram(chain_front(random.Random(k), k))
+        toggled = front_diagram(chain_front(random.Random(k), k, toggled=True))
+        assert any(c.rot for c in diagram.components), diagram
+        assert toggled == reverse(diagram)
 
 
 def check_permutation(rng, diagram):
@@ -163,6 +230,9 @@ def test_permuting_the_surgery_components():
     for i in range(DRAWS + SINGULAR_DRAWS):
         check_permutation(rng, random_case(rng, singular=i >= DRAWS))
     for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_permutation(rng, diagram)
+    for rng, diagram in chain_cases(1702):
         with cpu_limit(10):
             check_permutation(rng, diagram)
 
@@ -191,6 +261,9 @@ def test_ding_geiges_cancellation():
     for i in range(DRAWS + SINGULAR_DRAWS):
         check_cancellation(rng, random_case(rng, singular=i >= DRAWS))
     for diagram in dense_cases(rng):
+        with cpu_limit(10):
+            check_cancellation(rng, diagram)
+    for rng, diagram in chain_cases(1703):
         with cpu_limit(10):
             check_cancellation(rng, diagram)
 
@@ -230,6 +303,11 @@ def test_companion_invariants_survive_the_expansion():
             check_expansion(halved)
             closed, via_expansion = d3_values(halved)
             assert closed == via_expansion, halved
+    for _, diagram in chain_cases(1704):
+        with cpu_limit(10):
+            check_expansion(diagram)
+            closed, via_expansion = d3_values(diagram)
+            assert closed == via_expansion, diagram
 
 
 def handle_slide(rng, diagram):
@@ -269,3 +347,6 @@ def test_handle_slides():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_handle_slide(rng, diagram)
+    for rng, diagram in chain_cases(1705):
+        with cpu_limit(10):
+            check_handle_slide(rng, expand_to_pm1(diagram))

@@ -229,6 +229,18 @@ class TestExpansion:
             (CompanionKnot("K", "legendrian", (3,), tb=-1, rot=0),))
         expanded = expand_to_pm1(diagram)
         assert expanded.knots[0].lk == (3, 3)
+        # two components: each copy takes its own origin's entry
+        diagram = SurgeryDiagram(
+            (LegendrianComponent("A", -1, 0, ContactCoefficient.parse("-1/2")),
+             LegendrianComponent("B", -2, 1, ContactCoefficient.parse("+1/3"))),
+            ((0, 1), (1, 0)),
+            (CompanionKnot("K", "legendrian", (3, -2), tb=-1, rot=0),
+             CompanionKnot("T", "transverse", (-1, 4), sl=-3, transverse_sign=-1)))
+        expanded = expand_to_pm1(diagram)
+        assert [w.lk for w in expanded.knots] == [(3, 3, -2, -2, -2), (-1, -1, 4, 4, 4)]
+        assert (expanded.knots[1].sl, expanded.knots[1].transverse_sign) == (-3, -1)
+        assert expanded.linking == ((0, -1, 1, 1, 1), (-1, 0, 1, 1, 1), (1, 1, 0, -2, -2),
+                                    (1, 1, -2, 0, -2), (1, 1, -2, -2, 0))
 
     def test_block_structure(self):
         rng = random.Random(99)
