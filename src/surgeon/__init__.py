@@ -21,7 +21,7 @@ from . import diagrams
 _EXPORTS = {
     "diagrams": ("CompanionKnot", "ContactCoefficient", "Diagnostic", "LegendrianComponent",
                  "SurgeryDiagram", "topological_coefficient", "validate"),
-    "d3": ("D3Report", "d3_report", "d3_via_expansion"),
+    "d3": ("D3Report", "d3_report"),
     "exactlin": ("SNFDecomposition", "SolveResult", "minimal_order_solve", "smith_normal_form",
                  "symmetric_signature"),
     "fronts": ("FrontDocument", "FrontError", "FrontInvariants", "classical_invariants",

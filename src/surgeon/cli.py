@@ -218,12 +218,15 @@ def invariant_report_dict(report: invariants.InvariantReport) -> dict:
 
 def d3_report_dict(diagram: SurgeryDiagram) -> dict:
     report = d3.d3_report(diagram)
-    expands = any(c.coeff.magnitude > 1 for c in diagram.components)
-    try:  # a +-1 diagram expands to itself, so its closed form is the cross-check
-        cross = d3.d3_via_expansion(diagram) if expands else report.d3
+    # The central cross-check: the closed form again on the +-1 expansion,
+    # where it is the classical formula.  A +-1 diagram expands to itself, so
+    # there the check cannot be independent and its closed form is reused.
+    try:
+        expanded = surgery.expand_to_pm1(diagram)
     except ValueError as exc:  # over surgery.EXPANSION_LIMIT
         via_expansion = f"skipped: {exc}"
     else:
+        cross = report.d3 if expanded is diagram else d3.d3_report(expanded).d3
         via_expansion = "undefined" if cross is None else str(cross)
     return {
         "euler_class": list(report.coefficients),

@@ -12,11 +12,7 @@ formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 expands (sigma(Q) comes from diag(m)*Q).  `d3_report` reads the Euler
 class, b, d3 and H_1 off one presentation of the diagram: one linking
 matrix, one Hermite form, one solve, one signature and one Smith
-diagonal.  The solve is `minimal_order_solve` of Q*a = d*rot, and
-b = a / d.  The central correctness check of this package evaluates
-the closed form again on the +-1 expansion, where it is the classical
-formula.  That check is independent only when some m_i > 1: a +-1 diagram
-expands to itself, so both values come from the same Q, b and sigma.
+diagonal; b = a / d for the solution of Q*a = d*rot by `minimal_order_solve`.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.
@@ -29,8 +25,7 @@ from typing import NamedTuple, Optional
 
 from .diagrams import SurgeryDiagram
 from .exactlin import minimal_order_solve
-from .surgery import (HomologyPresentation, diagram_signature, expand_to_pm1, homology,
-                      linking_matrix)
+from .surgery import HomologyPresentation, diagram_signature, homology, linking_matrix
 
 
 class D3Report(NamedTuple):
@@ -67,13 +62,3 @@ def d3_report(diagram: SurgeryDiagram) -> D3Report:
                  for c, m, x in zip(diagram.components, q.magnitudes, b)), Fraction(0))
     d3 = total / 4 - Fraction(3, 4) * diagram_signature(q) - Fraction(1, 2)
     return D3Report(coefficients, b, d3, homology(q))
-
-
-def d3_via_expansion(diagram: SurgeryDiagram) -> Optional[Fraction]:
-    """d3 by the closed form on the diagram's +-1 expansion, where it is
-    the classical +-1 formula.
-
-    Raises ValueError when the expansion would have more than
-    surgery.EXPANSION_LIMIT components.
-    """
-    return d3_report(expand_to_pm1(diagram)).d3

@@ -59,12 +59,11 @@ class HomologyPresentation(NamedTuple):
 
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
-    """Present H_1 of the surgered manifold from the relation matrix Q: the
-    invariant factors are the Smith diagonal entries > 1 of the echelon rows
-    H of Q's Hermite form, and the free rank is k - rank H."""
-    echelon = [r[:q.k] for r in q.form if any(r[:q.k])]
-    factors = tuple(d for d in smith_diagonal(echelon) if d > 1)
-    return HomologyPresentation(factors, q.k - len(echelon))
+    """H_1 of the surgered manifold from the Smith diagonal of the h-blocks
+    of Q's Hermite form (image rows, then zero rows): the invariant factors
+    are the entries > 1 and the free rank is the number of zero entries."""
+    diagonal = smith_diagonal([r[:q.k] for r in q.form])
+    return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 
 def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:

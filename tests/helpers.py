@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch (permutation-expansion
 determinants, plain Gaussian elimination, exhaustive search) so that it
-never shares a code path with the library it checks.
+never shares a code path with the library it checks.  The exceptions,
+`count_calls` and `d3_via_expansion`, call the library and say so.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
+import surgeon
 from surgeon import CompanionKnot, ContactCoefficient, LegendrianComponent, SurgeryDiagram
 
 
@@ -368,6 +370,13 @@ def oracle_d3_pm1(diagram):
     positives = sum(1 for c in diagram.components if c.coeff.sign > 0)
     pairing = sum(bi * ri for bi, ri in zip(b, rot))
     return Fraction(pairing - 3 * (n_plus - n_minus) - 2 * len(q)) / 4 - Fraction(1, 2) + positives
+
+
+def d3_via_expansion(diagram):
+    """The d3 cross-check as `surgeon d3` composes it: the closed form on the
+    +-1 expansion, where it is the classical formula.  This calls the
+    library and is not an oracle; raises ValueError over EXPANSION_LIMIT."""
+    return surgeon.d3_report(surgeon.expand_to_pm1(diagram)).d3
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,30 @@ class TestInvariantsCommand:
         assert code == 1
         assert "unknown knot" in err
 
+    @pytest.mark.parametrize("knot,lk,report,text", [
+        # Q = [[0]]: lk [0] is solvable, but the kernel vector [1] shifts rot by 2.
+        ("K", [0], {"order": 1, "solution": [0], "tb": "-1", "rot": "0", "sl": None,
+                    "seifert_dependence": [{"kernel_vector": [1], "rot_shift": "2"}]},
+         ["order: 1", "solution: [0]", "tb: -1", "rot: 0", "sl: None",
+          "seifert_dependence: [{'kernel_vector': [1], 'rot_shift': '2'}]"]),
+        # lk [1] is not in the image of Q.
+        ("N", [1], {"order": "not rationally nullhomologous", "solution": None, "tb": None,
+                    "rot": None, "sl": None, "seifert_dependence": None},
+         ["order: not rationally nullhomologous", "solution: None", "tb: None", "rot: None",
+          "sl: None", "seifert_dependence: None"]),
+    ], ids=["seifert-dependence", "not-nullhomologous"])
+    def test_report_shapes_of_a_singular_matrix(self, capsys, tmp_path, knot, lk, report, text):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "components": [{"name": "U", "tb": -1, "rot": 2, "coeff": "+1"}], "linking": [[0]],
+            "knots": [{"name": knot, "kind": "legendrian", "tb": -1, "rot": 0, "lk": lk}]}))
+        code, out, _ = run(capsys, "invariants", str(path))
+        assert code == 0
+        assert json.loads(out) == {"knot": knot, "kind": "legendrian", **report}
+        code, out, _ = run(capsys, "invariants", str(path), "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [f"knot: {knot}", "kind: legendrian", *text]
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "invariants", str(DIAGRAMS / "rational_order3.json"),
                            "--format", "text")
@@ -356,6 +380,25 @@ class TestFrontCommand:
         assert code == 1
         assert "line 1" in err and "R2" in err
 
+    @pytest.mark.parametrize("text,position,message", [
+        ("surgery S coeff\nevents:\nL1 R1\n", "line 1, column 1",
+         "expected: surgery <name> coeff <s/m> [reversed]"),
+        ("companion K sideways\nevents:\nL1 R1\n", "line 1, column 1",
+         "expected: companion <name> legendrian|transverse [positive|negative] [reversed]"),
+        ("companion K legendrian extra\nevents:\nL1 R1\n", "line 1, column 24",
+         "unexpected token 'extra'"),
+        ("events:\nevents:\nL1 R1\n", "line 2, column 1", "duplicate 'events:' marker"),
+        ("L1 R1 events:\n", "line 1, column 7", "'events:' marker must precede all events"),
+    ], ids=["surgery-header", "companion-kind", "companion-extra", "second-marker",
+            "late-marker"])
+    def test_header_and_marker_errors_positioned(self, capsys, tmp_path, text, position,
+                                                 message):
+        path = tmp_path / "bad.front"
+        path.write_text(text)
+        code, out, err = run(capsys, "front", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {position}: {message}\n"
+
     def test_position_over_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "long.front"
         path.write_text("L" + "1" * 5000 + " R1\n")
@@ -458,6 +501,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "internal error" in err
+
+    @pytest.mark.parametrize("knot,message", [
+        ({"name": "K", "kind": "legendrian", "tb": -1, "rot": 0, "lk": 5},
+         "knots[0].lk: expected a list of integers"),
+        ({"name": "T", "kind": "transverse", "sl": -1, "sign": "up", "lk": [1]},
+         "knots[0].sign: expected 'positive' or 'negative', got 'up'"),
+    ], ids=["lk-not-a-list", "unknown-sign"])
+    def test_bad_knot_field(self, capsys, tmp_path, knot, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"components": [{"name": "U", "tb": -1, "rot": 0,
+                                                    "coeff": "+1"}],
+                                    "linking": [[0]], "knots": [knot]}))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", str(DIAGRAMS / "unknot_plus1_over_2.json")],
+        ["front", str(FRONTS / "surgery_demo.front"), "--emit-diagram"],
+    ], ids=["expand", "front"])
+    def test_write_into_missing_directory(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()
 
     def test_knots_must_be_a_list(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,20 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-import surgeon.d3
 import surgeon.surgery
 from surgeon import (
     ContactCoefficient,
     LegendrianComponent,
     SurgeryDiagram,
     d3_report,
-    d3_via_expansion,
     expand_to_pm1,
     linking_matrix,
     minimal_order_solve,
 )
 
-from helpers import oracle_d3_pm1, random_diagram, singular_diagram, t_mat_vec
+from helpers import d3_via_expansion, oracle_d3_pm1, random_diagram, singular_diagram, t_mat_vec
 
 
 def rational_solution(form, rot):
@@ -90,8 +88,7 @@ class TestUnknotFamily:
         def refuse(_diagram):
             raise AssertionError("d3_report expanded the diagram")
 
-        for module in (surgeon.surgery, surgeon.d3):
-            monkeypatch.setattr(module, "expand_to_pm1", refuse)
+        monkeypatch.setattr(surgeon.surgery, "expand_to_pm1", refuse)
         n = 10 ** 6
         assert d3_report(unknot_surgery(f"+1/{n}")).d3 == 1 - Fraction(n, 4)
         assert d3_report(unknot_surgery(f"-1/{n}")).d3 == Fraction(n, 4) - Fraction(1, 2)

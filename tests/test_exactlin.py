@@ -71,6 +71,11 @@ class TestSmithNormalForm:
         rng = random.Random(seed)
         snf_invariants_hold(random_int_matrix(rng, nrows, ncols, -9, 9))
 
+    def test_ragged_matrix_rejected(self):
+        for fn in (smith_normal_form, smith_diagonal, hermite_form, symmetric_signature):
+            with pytest.raises(ValueError, match="^ragged matrix$"):
+                fn([[1, 2], [3]])
+
     def test_diagonal_without_transforms(self):
         # smith_diagonal runs the same loop with zero-width transforms.
         rng = random.Random(1204)
@@ -349,6 +354,10 @@ class TestSignature:
 
     def test_empty(self):
         assert symmetric_signature([]) == (0, 0, 0)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^signature needs a square matrix$"):
+            symmetric_signature([[1, 2]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

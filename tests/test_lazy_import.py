@@ -28,7 +28,7 @@ PUBLIC = """
     CompanionKnot ContactCoefficient D3Report Diagnostic FrontDocument FrontError
     FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
     LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
-    d3_report d3_via_expansion diagram_signature expand_to_pm1 homology invariant_report
+    d3_report diagram_signature expand_to_pm1 homology invariant_report
     linking_matrix minimal_order_solve parse_front smith_normal_form symmetric_signature
     to_diagram topological_coefficient validate
 """.split()

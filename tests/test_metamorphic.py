@@ -40,7 +40,6 @@ from surgeon import (
     LegendrianComponent,
     SurgeryDiagram,
     d3_report,
-    d3_via_expansion,
     diagram_signature,
     expand_to_pm1,
     homology,
@@ -53,6 +52,7 @@ from surgeon import (
 
 from helpers import (
     cpu_limit,
+    d3_via_expansion,
     dense_diagram,
     random_diagram,
     singular_diagram,
