@@ -31,12 +31,13 @@ from .surgery import HomologyPresentation, diagram_signature, homology, linking_
 class D3Report(NamedTuple):
     """The Euler class, d3 and H_1 of the surgered contact structure.
 
-    `coefficients` lists m_i * rot_i, the Poincare dual of the Euler class
-    in the meridian basis.  The class is torsion iff Q*b = rot has a
-    rational solution; `b` is then a / d for the solution (d, a) of
-    Q*a = d*rot that `minimal_order_solve` prints, reduced modulo the
-    Hermite kernel basis, so it depends on (Q, rot) alone (any choice
-    gives the same d3).  Otherwise `b` is None, as is `d3`.
+    `coefficients` lists m_i * rot_i, the Poincare dual of the Euler class in
+    H_1 = Z^k / Q^T Z^k on push-off meridians x_i, mu_i = m_i x_i (on the
+    meridians mu_i, H_1 = Z^k / Q Z^k and the dual is rot).  The class is
+    torsion iff Q*b = rot has a rational solution; `b` is then a / d for the
+    solution (d, a) of Q*a = d*rot that `minimal_order_solve` prints, reduced
+    modulo the Hermite kernel basis, so it depends on (Q, rot) alone (any
+    choice gives the same d3).  Otherwise `b` is None, as is `d3`.
     """
 
     coefficients: tuple[int, ...]

@@ -32,6 +32,8 @@ end at "\n", "\r\n" or "\r", and any other whitespace separates tokens):
 
 Headers assign roles to components in trace order: the i-th header
 describes the i-th component.  COEFF is "+1", "-1", "+1/m" or "-1/m".
+A transverse companion is the positive or negative (t = +1 or -1)
+transverse push-off of its drawn Legendrian knot: sl = tb - t*rot.
 The "events:" marker is mandatory when headers are present.  Documents
 consisting of bare event tokens (no headers, no marker) are accepted.
 
@@ -90,12 +92,12 @@ class FrontEvent(NamedTuple):
 
 
 class ComponentRole(NamedTuple):
-    """Role header for one traced component.  A transverse header's sign
-    word is checked but not kept: `to_diagram` rejects transverse companions."""
+    """Role header for one traced component."""
 
     kind: str  # "surgery", "legendrian" or "transverse"
     name: str
     coeff: Optional[ContactCoefficient]  # surgery only
+    sign: Optional[int]  # transverse only: +1 positive, -1 negative
     reversed: bool
     line: int
 
@@ -121,19 +123,20 @@ def _parse_header(words, lineno: int) -> ComponentRole:
             coeff = ContactCoefficient.parse(words[3][0])
         except ValueError as exc:
             fail(str(exc), words[3][1])
-        return ComponentRole("surgery", words[1][0], coeff, rev, lineno)
+        return ComponentRole("surgery", words[1][0], coeff, None, rev, lineno)
     if len(words) < 3 or words[2][0] not in (LEGENDRIAN, TRANSVERSE):
         fail("expected: companion <name> legendrian|transverse [positive|negative] [reversed]",
              words[0][1])
     kind = words[2][0]
     rest = words[3:]
+    sign = None
     if kind == TRANSVERSE:
         if not rest or rest[0][0] not in TRANSVERSE_SIGNS:
             fail("transverse companion needs 'positive' or 'negative'", words[2][1])
-        rest = rest[1:]
+        sign = TRANSVERSE_SIGNS[rest.pop(0)[0]]
     if rest:
         fail(f"unexpected token {rest[0][0]!r}", rest[0][1])
-    return ComponentRole(kind, words[1][0], None, rev, lineno)
+    return ComponentRole(kind, words[1][0], None, sign, rev, lineno)
 
 
 def parse_front(text: str) -> FrontDocument:
@@ -314,9 +317,7 @@ def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
     """Assemble a surgery diagram from a fully annotated front document.
 
     Every traced component must carry a role header; surgery components
-    contribute link components, Legendrian companions contribute knots.
-    Transverse companions are rejected: they carry no front here and must
-    be entered numerically in a diagram file.  `inv` is
+    contribute link components, companions contribute knots.  `inv` is
     classical_invariants(doc), so the front is not traced again.
     """
     if len(doc.roles) < len(inv.names):
@@ -327,22 +328,15 @@ def to_diagram(doc: FrontDocument, inv: FrontInvariants) -> SurgeryDiagram:
             first_event.line, first_event.column)
 
     surgery_idx = [i for i, r in enumerate(doc.roles) if r.kind == "surgery"]
-    components = tuple(
-        LegendrianComponent(doc.roles[i].name, inv.tb[i], inv.rot[i], doc.roles[i].coeff)
-        for i in surgery_idx)
-    linking = tuple(tuple(inv.linking[a][b] for b in surgery_idx) for a in surgery_idx)
-
-    knots = []
+    components, linking, knots = [], [], []
     for i, role in enumerate(doc.roles):
+        tb, rot, lk = inv.tb[i], inv.rot[i], tuple(inv.linking[i][b] for b in surgery_idx)
         if role.kind == "surgery":
-            continue
-        if role.kind == TRANSVERSE:
-            raise FrontError(
-                f"transverse companion {role.name!r} cannot be drawn as a front; "
-                "enter it numerically (sl, sign, lk vector) in a diagram file",
-                role.line, 1)
-        knots.append(CompanionKnot(
-            name=role.name, kind=LEGENDRIAN,
-            lk=tuple(inv.linking[i][b] for b in surgery_idx),
-            tb=inv.tb[i], rot=inv.rot[i]))
-    return SurgeryDiagram(components, linking, tuple(knots))
+            components.append(LegendrianComponent(role.name, tb, rot, role.coeff))
+            linking.append(lk)
+        elif role.kind == LEGENDRIAN:
+            knots.append(CompanionKnot(role.name, LEGENDRIAN, lk, tb=tb, rot=rot))
+        else:  # the transverse push-off of sign t of the drawn knot: sl = tb - t*rot
+            knots.append(CompanionKnot(role.name, TRANSVERSE, lk, sl=tb - role.sign * rot,
+                                       transverse_sign=role.sign))
+    return SurgeryDiagram(components, linking, knots)

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch (permutation-expansion
 determinants, plain Gaussian elimination, exhaustive search) so that it
 never shares a code path with the library it checks.  The exceptions,
-`count_calls` and `d3_via_expansion`, call the library and say so.
+`count_calls`, `d3_via_expansion` and `front_diagram`, call the library
+and say so.
 """
 
 from __future__ import annotations
@@ -377,6 +378,14 @@ def d3_via_expansion(diagram):
     +-1 expansion, where it is the classical formula.  This calls the
     library and is not an oracle; raises ValueError over EXPANSION_LIMIT."""
     return surgeon.d3_report(surgeon.expand_to_pm1(diagram)).d3
+
+
+def front_diagram(text):
+    """The surgery diagram of a fully headed front document, as `surgeon
+    front --emit-diagram` assembles it.  This calls the library and is not
+    an oracle."""
+    doc = surgeon.parse_front(text)
+    return surgeon.to_diagram(doc, surgeon.classical_invariants(doc))
 
 
 # ---------------------------------------------------------------------------

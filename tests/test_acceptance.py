@@ -29,7 +29,6 @@ from surgeon import (
     parse_front,
     smith_normal_form,
     symmetric_signature,
-    to_diagram,
 )
 from surgeon.cli import load_diagram, main
 from surgeon.exactlin import hermite_form
@@ -39,6 +38,7 @@ from helpers import (
     check_snf_invariants,
     descartes_split,
     fraction_det,
+    front_diagram,
     image_set,
     legendrian_pushoff_sl,
     oracle_d3_pm1,
@@ -303,9 +303,9 @@ def test_front_anchors(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     loaded = load_diagram(str(emitted))
-    source = parse_front((FRONTS / "surgery_demo.front").read_text())
-    front_data = classical_invariants(source)
-    assert loaded == to_diagram(source, front_data)
+    source = (FRONTS / "surgery_demo.front").read_text()
+    front_data = classical_invariants(parse_front(source))
+    assert loaded == front_diagram(source)
     assert loaded.components[0].tb == front_data.tb[0]
     assert loaded.components[0].rot == front_data.rot[0]
     assert loaded.knots[0].tb == front_data.tb[1]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,16 @@ from surgeon import (
     minimal_order_solve,
 )
 
-from helpers import d3_via_expansion, oracle_d3_pm1, random_diagram, singular_diagram, t_mat_vec
+from helpers import (
+    d3_via_expansion,
+    fraction_det,
+    oracle_d3_pm1,
+    random_diagram,
+    rational_gauss_solve,
+    singular_diagram,
+    t_linking_matrix,
+    t_mat_vec,
+)
 
 
 def rational_solution(form, rot):
@@ -24,6 +34,16 @@ def rational_solution(form, rot):
     if solved is None:
         return None
     return tuple(Fraction(x, solved.order) for x in solved.particular), solved.kernel_basis
+
+
+def cokernel_order(matrix, v):
+    """The order of v in Z^k / matrix * Z^k for a nonsingular matrix, from
+    the oracle solve: the lcm of the denominators of matrix^-1 * v."""
+    return lcm(*(x.denominator for x in rational_gauss_solve(matrix, v)))
+
+
+def transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
 
 
 def unknot_surgery(coeff):
@@ -43,6 +63,42 @@ class TestEulerClass:
         diagram = SurgeryDiagram(
             (LegendrianComponent("L", -2, 1, ContactCoefficient.parse("-1/3")),), ((0,),))
         assert d3_report(diagram).coefficients == (3,)
+
+    def test_printed_vector_is_the_dual_on_push_off_meridians(self):
+        # On the meridians mu_i, H_1 = Z^2 / Q Z^2 and PD(e) = rot, here 0.
+        # The printed (m_i rot_i) is PD(e) in Z^2 / Q^T Z^2 (mu_i = m_i x_i);
+        # in Z^2 / Q Z^2 it would have order 2.
+        diagram = SurgeryDiagram(
+            (LegendrianComponent("C1", 3, -2, ContactCoefficient.parse("+1")),
+             LegendrianComponent("C2", 2, 3, ContactCoefficient.parse("-1/3"))),
+            ((0, -2), (-2, 0)))
+        q = t_linking_matrix(diagram)
+        assert q == [[4, -6], [-2, 5]]
+        assert d3_report(diagram).coefficients == (-2, 9)
+        assert rational_gauss_solve(q, [-2, 3]) == [1, 1]
+        assert rational_gauss_solve(q, [-2, 9]) == [Fraction(11, 2), 4]
+        assert rational_gauss_solve(transpose(q), [-2, 9]) == [1, 3]
+
+    def test_order_of_the_printed_vector(self):
+        # With det Q != 0 and some m > 1, the printed vector has the same
+        # order in coker Q^T as rot in coker Q and as the expansion's rot in
+        # its own cokernel; its order in coker Q differs on some draws.
+        rng = random.Random(2305)
+        checked = differs = 0
+        while checked < 200:
+            diagram = random_diagram(rng)
+            q = t_linking_matrix(diagram)
+            if all(c.coeff.magnitude == 1 for c in diagram.components) or fraction_det(q) == 0:
+                continue
+            order = cokernel_order(q, [c.rot for c in diagram.components])
+            printed = list(d3_report(diagram).coefficients)
+            assert cokernel_order(transpose(q), printed) == order, diagram
+            expanded = expand_to_pm1(diagram)
+            assert cokernel_order(t_linking_matrix(expanded),
+                                  [c.rot for c in expanded.components]) == order, diagram
+            differs += cokernel_order(q, printed) != order
+            checked += 1
+        assert differs > 0
 
     def test_invertible_matrix_is_torsion(self):
         diagram = SurgeryDiagram(

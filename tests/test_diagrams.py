@@ -15,6 +15,8 @@ from surgeon import (
 )
 from surgeon.cli import load_diagram
 
+from helpers import front_diagram
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -162,9 +164,9 @@ class TestCompanionKnot:
         knots = [w for path in sorted(CORPUS.glob("diagrams/*.json"))
                  for w in load_diagram(str(path)).knots]
         for path in sorted(CORPUS.glob("fronts/*.front")):
-            doc = surgeon.parse_front(path.read_text())
-            if doc.roles and all(r.kind != "transverse" for r in doc.roles):
-                knots += surgeon.to_diagram(doc, surgeon.classical_invariants(doc)).knots
+            text = path.read_text()
+            if surgeon.parse_front(text).roles:
+                knots += front_diagram(text).knots
         assert {w.kind for w in knots} == {"legendrian", "transverse"}
         assert all(CompanionKnot._make(w) == w for w in knots)
 

@@ -1,10 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from surgeon import FrontError, classical_invariants, parse_front, to_diagram, validate
+from surgeon import (
+    CompanionKnot,
+    FrontError,
+    classical_invariants,
+    invariant_report,
+    parse_front,
+    to_diagram,
+    validate,
+)
 
-from helpers import oracle_front_invariants, random_front_text
+from helpers import front_diagram, legendrian_pushoff_sl, oracle_front_invariants, random_front_text
 
 UNKNOT = "L1 R1"
 TREFOIL = "L1 L3 X2 X2 X2 R1 R1"
@@ -57,6 +66,7 @@ class TestParser:
         assert [r.name for r in doc.roles] == ["S", "K", "T"]
         assert str(doc.roles[0].coeff) == "-1/2"
         assert doc.roles[1].coeff is None
+        assert [r.sign for r in doc.roles] == [None, None, -1]
         assert [r.reversed for r in doc.roles] == [True, False, False]
 
     @pytest.mark.parametrize("header", ["companion T transverse", "companion T transverse sideways",
@@ -158,7 +168,7 @@ class TestOrientationBehaviour:
 
 class TestAgainstHandTracing:
     HEADERS = ("surgery S{} coeff +1", "surgery S{} coeff -1/2", "companion K{} legendrian",
-               "companion T{} transverse positive")
+               "companion T{} transverse positive", "companion T{} transverse negative")
 
     def test_documented_anchors(self):
         assert oracle_front_invariants(UNKNOT) == ((-1,), (0,), ((0,),))
@@ -180,11 +190,18 @@ class TestAgainstHandTracing:
                 continue
             inv = classical_invariants(parse_front(text))
             assert (inv.tb, inv.rot, inv.linking) == (tb, rot, linking), text
-
-
-def assemble(text):
-    doc = parse_front(text)
-    return to_diagram(doc, classical_invariants(doc))
+            if n_headers < len(tb):
+                continue
+            # A transverse header is the push-off of the drawn knot, with its lk row.
+            surgery = [i for i, h in enumerate(headers) if h.startswith("surgery")]
+            knots = {w.name: w for w in front_diagram(text).knots}
+            for i, header in enumerate(headers):
+                if "transverse" in header:
+                    sign = 1 if "positive" in header else -1
+                    knot = knots[f"T{i}"]
+                    assert (knot.sl, knot.transverse_sign) == (
+                        legendrian_pushoff_sl(tb[i], rot[i], sign), sign), text
+                    assert knot.lk == tuple(linking[i][j] for j in surgery), text
 
 
 class TestToDiagram:
@@ -194,7 +211,7 @@ class TestToDiagram:
             "L1 L2 X1 X1 R2 R1\n")
 
     def test_demo_diagram(self):
-        diagram = assemble(self.DEMO)
+        diagram = front_diagram(self.DEMO)
         assert validate(diagram) == []
         assert [c.name for c in diagram.components] == ["S"]
         assert diagram.components[0].tb == -1
@@ -207,30 +224,40 @@ class TestToDiagram:
             (LegendrianComponent("S", -1, 0, ContactCoefficient.parse("-1")),),
             ((0,),),
             (CompanionKnot("K", "legendrian", (1,), tb=-1, rot=0),))
-        assert assemble(self.DEMO) == expected
+        assert front_diagram(self.DEMO) == expected
 
     def test_missing_role(self):
         with pytest.raises(FrontError, match="no role header"):
-            assemble("surgery S coeff +1\nevents:\nL1 R1 L1 R1")
+            front_diagram("surgery S coeff +1\nevents:\nL1 R1 L1 R1")
 
     def test_missing_role_points_at_its_component(self):
         # The unheaded component is the second; its first event is the
         # third left cusp, after the trefoil's two.
         text = "surgery S coeff +1\nevents:\nL1 L3 X2 X2 X2 R1 R1\n  L1 R1\n"
         with pytest.raises(FrontError, match="component 2 has no role header") as excinfo:
-            assemble(text)
+            front_diagram(text)
         assert (excinfo.value.line, excinfo.value.column) == (4, 3)
 
     def test_extra_role(self):
         with pytest.raises(FrontError, match="no matching component"):
-            assemble("surgery S coeff +1\nsurgery T coeff +1\nevents:\nL1 R1")
+            front_diagram("surgery S coeff +1\nsurgery T coeff +1\nevents:\nL1 R1")
 
-    def test_transverse_companion_rejected(self):
-        text = ("surgery S coeff +1\n"
-                "companion T transverse positive\n"
-                "events:\nL1 R1 L1 R1\n")
-        with pytest.raises(FrontError, match="transverse"):
-            assemble(text)
+    def test_transverse_companion_is_the_pushoff(self):
+        # K is drawn with tb -2, rot 1 and lk 1; its push-off of sign t has
+        # sl = -2 - t, and S at -1 makes K of order 2.
+        events = "events:\nL1 L2 L3 R2 X1 X1 R2 R1\n"
+        legendrian = front_diagram("surgery S coeff -1\ncompanion K legendrian\n" + events)
+        assert legendrian.knots == (CompanionKnot("K", "legendrian", (1,), tb=-2, rot=1),)
+        report = invariant_report(legendrian, "K")
+        assert (report.order, report.tb, report.rot) == (2, Fraction(-3, 2), 1)
+        for word, sign, sl, sl_m in (("positive", 1, -3, Fraction(-5, 2)),
+                                     ("negative", -1, -1, Fraction(-1, 2))):
+            diagram = front_diagram(f"surgery S coeff -1\ncompanion K transverse {word}\n" + events)
+            assert validate(diagram) == []
+            assert diagram == legendrian._replace(
+                knots=(CompanionKnot("K", "transverse", (1,), sl=sl, transverse_sign=sign),))
+            report = invariant_report(diagram, "K")
+            assert (report.order, report.sl, report.seifert_shifts) == (2, sl_m, ())
 
     def test_component_names_fall_back(self):
         assert classical_invariants(parse_front("L1 R1 L1 R1")).names == ("K1", "K2")

@@ -27,7 +27,9 @@ the expansion on copies with two components at +-1/2) and on diagrams read
 from chain fronts with k = 8 to 16 (`chain_front`; the handle slide on
 their +-1 expansion), under a CPU limit.  On a chain front, toggling
 "reversed" in every header must give the reversed diagram of the relation
-above: every rot negated, every tb and lk unchanged.
+above: every rot negated, every tb and lk unchanged.  Reading a chain
+front's companion as its transverse push-off of sign t must keep the
+order and the Seifert shifts and give sl_M = tb_M - t * rot_M.
 """
 
 import random
@@ -44,16 +46,14 @@ from surgeon import (
     expand_to_pm1,
     homology,
     invariant_report,
-    classical_invariants,
     linking_matrix,
-    parse_front,
-    to_diagram,
 )
 
 from helpers import (
     cpu_limit,
     d3_via_expansion,
     dense_diagram,
+    front_diagram,
     random_diagram,
     singular_diagram,
     t_linking_matrix,
@@ -116,20 +116,17 @@ def chain_front(rng, k, toggled=False):
     return "\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n"
 
 
-def front_diagram(text):
-    doc = parse_front(text)
-    return to_diagram(doc, classical_invariants(doc))
-
-
 def chain_cases(seed):
     """Chain-front diagrams with k = 8, 12 and 16, each with the rng that
-    drew it, after checking that some component has rot != 0."""
+    drew it and its front text, after checking that some component has
+    rot != 0."""
     cases = []
     for k in (8, 12, 16):
         rng = random.Random(seed * 100 + k)
-        diagram = front_diagram(chain_front(rng, k))
+        text = chain_front(rng, k)
+        diagram = front_diagram(text)
         assert any(c.rot for c in diagram.components), diagram
-        cases.append((rng, diagram))
+        cases.append((rng, text, diagram))
     return cases
 
 
@@ -198,7 +195,7 @@ def test_reversing_every_orientation():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_reversal(diagram)
-    for _, diagram in chain_cases(1701):
+    for _, _, diagram in chain_cases(1701):
         with cpu_limit(10):
             check_reversal(diagram)
 
@@ -209,6 +206,26 @@ def test_reversing_every_front_header():
         toggled = front_diagram(chain_front(random.Random(k), k, toggled=True))
         assert any(c.rot for c in diagram.components), diagram
         assert toggled == reverse(diagram)
+
+
+def test_transverse_front_header_is_the_pushoff():
+    # Reading the chain fronts' K as its transverse push-off of sign t keeps
+    # the order and the Seifert shifts, and sl_M = tb_M - t * rot_M.
+    compared = 0
+    for seed in range(1701, 1706):
+        for _, text, diagram in chain_cases(seed):
+            legendrian = invariant_report(diagram, "K")
+            for word, t in (("positive", 1), ("negative", -1)):
+                header = f"companion K transverse {word}"
+                transverse = invariant_report(
+                    front_diagram(text.replace("companion K legendrian", header)), "K")
+                assert transverse.kind == "transverse", text
+                assert (transverse.order, transverse.seifert_shifts) == (
+                    legendrian.order, legendrian.seifert_shifts), text
+                if legendrian.order is not None:
+                    assert transverse.sl == legendrian.tb - t * legendrian.rot, text
+                    compared += 1
+    assert compared > 0
 
 
 def check_permutation(rng, diagram):
@@ -232,7 +249,7 @@ def test_permuting_the_surgery_components():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_permutation(rng, diagram)
-    for rng, diagram in chain_cases(1702):
+    for rng, _, diagram in chain_cases(1702):
         with cpu_limit(10):
             check_permutation(rng, diagram)
 
@@ -263,7 +280,7 @@ def test_ding_geiges_cancellation():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_cancellation(rng, diagram)
-    for rng, diagram in chain_cases(1703):
+    for rng, _, diagram in chain_cases(1703):
         with cpu_limit(10):
             check_cancellation(rng, diagram)
 
@@ -303,7 +320,7 @@ def test_companion_invariants_survive_the_expansion():
             check_expansion(halved)
             closed, via_expansion = d3_values(halved)
             assert closed == via_expansion, halved
-    for _, diagram in chain_cases(1704):
+    for _, _, diagram in chain_cases(1704):
         with cpu_limit(10):
             check_expansion(diagram)
             closed, via_expansion = d3_values(diagram)
@@ -347,6 +364,6 @@ def test_handle_slides():
     for diagram in dense_cases(rng):
         with cpu_limit(10):
             check_handle_slide(rng, diagram)
-    for rng, diagram in chain_cases(1705):
+    for rng, _, diagram in chain_cases(1705):
         with cpu_limit(10):
             check_handle_slide(rng, expand_to_pm1(diagram))
