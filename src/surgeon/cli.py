@@ -328,13 +328,23 @@ def _cmd_d3(args) -> int:
     return 0
 
 
+def _diagram_json(data: dict) -> str:
+    """A diagram dict as JSON text with one component, linking row or knot
+    per line."""
+    blocks = []
+    for key, items in data.items():
+        lines = ",\n".join(f"    {json.dumps(item)}" for item in items)
+        blocks.append(f"  {json.dumps(key)}: " + (f"[\n{lines}\n  ]" if items else "[]"))
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 def _write_diagram(diagram: SurgeryDiagram, path: str, described: str) -> None:
     """Write a diagram file that `check` accepts, or raise UserError naming
     the errors (`described` names the diagram) or the failed write."""
     errors = [d.message for d in validate(diagram) if d.severity == "error"]
     if errors:
         raise UserError(f"{described} would be invalid: {'; '.join(errors)}")
-    payload = json.dumps(diagram_to_dict(diagram), indent=2) + "\n"
+    payload = _diagram_json(diagram_to_dict(diagram))
     try:
         Path(path).write_text(payload, encoding="utf-8")
     except OSError as exc:

@@ -3,7 +3,7 @@
 The generalized linking matrix of a diagram has the topological surgery
 slopes p_i on the diagonal and q_j * lk(L_i, L_j) off it, written in the
 meridian basis.  It presents the first homology of the surgered manifold.
-`linking_matrix` builds a diagram's one presentation, Q with its Hermite
+`linking_matrix` builds a diagram's one presentation, Q with its echelon
 form, and every solve, H_1 and the signature of this package read it.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
-from .exactlin import Matrix, hermite_form, smith_diagonal, symmetric_signature
+from .exactlin import Matrix, echelon_form, smith_diagonal, symmetric_signature
 
 # Largest number of components `expand_to_pm1` builds, i.e. the largest sum
 # of the coefficient magnitudes m it expands.  The expanded linking matrix
@@ -24,7 +24,7 @@ EXPANSION_LIMIT = 128
 class GeneralizedLinkingMatrix(NamedTuple):
     """Square integer matrix Q with row/column i attached to the meridian
     of the i-th surgery component, the coefficient magnitudes m_i, and
-    `form`, the exactlin.hermite_form of Q.
+    `form`, the exactlin.echelon_form of Q.
 
     Q itself is symmetric only when all coefficient magnitudes are 1, but
     diag(m_1, ..., m_k) * Q is always symmetric.
@@ -40,14 +40,14 @@ class GeneralizedLinkingMatrix(NamedTuple):
 
 
 def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
-    """Build the generalized linking matrix of a diagram and its Hermite form."""
+    """Build the generalized linking matrix of a diagram and its echelon form."""
     k = diagram.k
     slopes = [topological_coefficient(c) for c in diagram.components]
     entries = tuple(
         tuple(slopes[i][0] if i == j else slopes[j][1] * diagram.linking[i][j]
               for j in range(k))
         for i in range(k))
-    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), hermite_form(entries))
+    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), echelon_form(entries))
 
 
 class HomologyPresentation(NamedTuple):
@@ -60,7 +60,7 @@ class HomologyPresentation(NamedTuple):
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
     """H_1 of the surgered manifold from the Smith diagonal of the h-blocks
-    of Q's Hermite form (image rows, then zero rows): the invariant factors
+    of Q's echelon form (image rows, then zero rows): the invariant factors
     are the entries > 1 and the free rank is the number of zero entries."""
     diagonal = smith_diagonal([r[:q.k] for r in q.form])
     return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))

@@ -31,7 +31,7 @@ from surgeon import (
     symmetric_signature,
 )
 from surgeon.cli import load_diagram, main
-from surgeon.exactlin import hermite_form
+from surgeon.exactlin import echelon_form
 
 from helpers import (
     char_poly,
@@ -219,7 +219,7 @@ def test_solver_oracle_equivalence():
         check_snf_invariants(matrix, smith_normal_form(matrix))
 
         images = image_set(matrix, bounds[ncols])
-        minimal = minimal_order_solve(hermite_form(matrix), vector)
+        minimal = minimal_order_solve(echelon_form(matrix), vector)
         rational = rational_gauss_solve(matrix, vector)
         assert (minimal is None) == (rational is None)
         if minimal is None:

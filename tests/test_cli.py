@@ -10,9 +10,10 @@ import surgeon.exactlin
 import surgeon.fronts
 import surgeon.invariants
 import surgeon.surgery
-from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, main
+from surgeon import expand_to_pm1
+from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, load_diagram, main
 
-from helpers import count_calls, cpu_limit, random_diagram
+from helpers import count_calls, cpu_limit, front_diagram, random_diagram
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 DIAGRAMS = CORPUS / "diagrams"
@@ -258,13 +259,13 @@ class TestD3Command:
         assert (len(solved), len(signed)) == (solves, signatures)
 
     @pytest.mark.parametrize("name,forms", [
-        # One Hermite form of Q serves the solve of Q*b = rot and H_1.
+        # One echelon form of Q serves the solve of Q*b = rot and H_1.
         ("trefoil_chain_rot2.json", 1),
         # The expansion has its own Q, and the cross-check solves with it.
         ("unknot_plus1_over_2.json", 2),
     ])
-    def test_one_hermite_form_per_linking_matrix(self, capsys, monkeypatch, name, forms):
-        formed = [count_calls(monkeypatch, module, "hermite_form")
+    def test_one_echelon_form_per_linking_matrix(self, capsys, monkeypatch, name, forms):
+        formed = [count_calls(monkeypatch, module, "echelon_form")
                   for module in (surgeon.exactlin, surgeon.surgery)]
         code, _, _ = run(capsys, "d3", str(DIAGRAMS / name))
         assert code == 0
@@ -272,7 +273,7 @@ class TestD3Command:
 
 
 @pytest.mark.parametrize("command,name,builds", [
-    # One linking matrix and its Hermite form serve b, d3 and H_1.
+    # One linking matrix and its echelon form serve b, d3 and H_1.
     ("d3", "trefoil_chain_rot2.json", 1),
     # The expansion has its own Q.
     ("d3", "unknot_plus1_over_2.json", 2),
@@ -313,6 +314,19 @@ class TestExpandCommand:
         assert data["linking"] == [[0, -1], [-1, 0]]
         code, out, err = run(capsys, "check", str(out_path))
         assert code == 0
+
+    def test_expansion_writes_one_record_per_line(self, capsys, tmp_path):
+        out_path = tmp_path / "expanded.json"
+        code, _, _ = run(capsys, "expand", str(DIAGRAMS / "unknot_plus1_over_4.json"),
+                         str(out_path))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[:3] == ["{", '  "components": [',
+                             '    {"name": "unknot.1", "tb": -1, "rot": 0, "coeff": "+1"},']
+        assert lines[7:9] == ['  "linking": [', "    [0, -1, -1, -1],"]
+        assert len(lines) == 2 + (4 + 2) + (4 + 2)
+        expanded = expand_to_pm1(load_diagram(str(DIAGRAMS / "unknot_plus1_over_4.json")))
+        assert json.loads(out_path.read_text()) == diagram_to_dict(expanded)
 
     def test_copy_count(self, capsys, tmp_path):
         payload = {"components": [{"name": "L", "tb": -1, "rot": 0, "coeff": "+1/3"}],
@@ -452,6 +466,23 @@ class TestFrontCommand:
         data = json.loads(out_path.read_text())
         assert data["components"] == [{"name": "S", "tb": -1, "rot": 0, "coeff": "-1"}]
         assert data["knots"][0]["lk"] == [1]
+
+    def test_emit_diagram_writes_one_record_per_line(self, capsys, tmp_path):
+        # A chain of k clasped unknots and a companion clasping the last one:
+        # one line per component, linking row and knot, and one per bracket.
+        k = 20
+        headers = [f"surgery C{j} coeff -1" for j in range(1, k + 1)] + ["companion K legendrian"]
+        events = ["L1"] + [f"L{j + 1} X{j} X{j}" for j in range(1, k + 1)]
+        events += [f"R{j}" for j in range(k + 1, 0, -1)]
+        path, out_path = tmp_path / "chain.front", tmp_path / "chain.json"
+        path.write_text("\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n")
+        code, _, _ = run(capsys, "front", str(path), "--emit-diagram", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        lines = text.splitlines()
+        assert len(lines) == 2 + (k + 2) + (k + 2) + 3
+        assert json.loads(lines[2].rstrip(",")) == {"name": "C1", "tb": -1, "rot": 0, "coeff": "-1"}
+        assert json.loads(text) == diagram_to_dict(front_diagram(path.read_text()))
 
     def test_emit_diagram_traces_once(self, capsys, monkeypatch, tmp_path):
         traced = count_calls(monkeypatch, surgeon.fronts, "classical_invariants")

@@ -189,7 +189,7 @@ RECORDS = {
     "InvariantReport": lambda: surgeon.invariant_report(demo_diagram(), "K"),
     "LegendrianComponent": lambda: unknot("-1/2"),
     "SNFDecomposition": lambda: surgeon.smith_normal_form([[2, 4], [6, 8]]),
-    "SolveResult": lambda: surgeon.minimal_order_solve(surgeon.exactlin.hermite_form([[2, 4]]), [3]),
+    "SolveResult": lambda: surgeon.minimal_order_solve(surgeon.exactlin.echelon_form([[2, 4]]), [3]),
     "SurgeryDiagram": demo_diagram,
 }
 

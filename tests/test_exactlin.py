@@ -16,7 +16,7 @@ from surgeon import (
     smith_normal_form,
     symmetric_signature,
 )
-from surgeon.exactlin import hermite_form, smith_diagonal
+from surgeon.exactlin import echelon_form, smith_diagonal
 
 from helpers import (
     char_poly,
@@ -72,7 +72,7 @@ class TestSmithNormalForm:
         snf_invariants_hold(random_int_matrix(rng, nrows, ncols, -9, 9))
 
     def test_ragged_matrix_rejected(self):
-        for fn in (smith_normal_form, smith_diagonal, hermite_form, symmetric_signature):
+        for fn in (smith_normal_form, smith_diagonal, echelon_form, symmetric_signature):
             with pytest.raises(ValueError, match="^ragged matrix$"):
                 fn([[1, 2], [3]])
 
@@ -88,52 +88,52 @@ class TestSmithNormalForm:
 
 class TestSolvers:
     def test_invertible_system(self):
-        result = minimal_order_solve(hermite_form([[0, 1], [1, -2]]), [1, 1])
+        result = minimal_order_solve(echelon_form([[0, 1], [1, -2]]), [1, 1])
         assert result.particular == (3, 1)
         assert result.kernel_basis == ()
         assert result.order == 1
 
     def test_stabilization_system(self):
-        result = minimal_order_solve(hermite_form([[0, -1], [-1, -3]]), [1, 1])
+        result = minimal_order_solve(echelon_form([[0, -1], [-1, -3]]), [1, 1])
         assert result.order == 1
         assert result.particular == (2, -1)
 
     def test_zero_matrix_full_kernel(self):
-        result = minimal_order_solve(hermite_form([[0, 0], [0, 0]]), [0, 0])
+        result = minimal_order_solve(echelon_form([[0, 0], [0, 0]]), [0, 0])
         assert result.order == 1
         assert result.particular == (0, 0)
         assert result.kernel_basis == ((1, 0), (0, 1))
 
     def test_unsolvable(self):
         # 5a = 2 has no integral solution: the minimal order exceeds 1
-        assert minimal_order_solve(hermite_form([[5]]), [2]).order != 1
+        assert minimal_order_solve(echelon_form([[5]]), [2]).order != 1
 
     def test_minimal_order_single(self):
         # brute force: smallest d with 2d divisible by 5 is 5
-        result = minimal_order_solve(hermite_form([[5]]), [2])
+        result = minimal_order_solve(echelon_form([[5]]), [2])
         assert result.order == 5
         assert result.particular == (2,)
 
     def test_minimal_order_nullhomologous(self):
-        result = minimal_order_solve(hermite_form([[0, 1], [1, -2]]), [1, 1])
+        result = minimal_order_solve(echelon_form([[0, 1], [1, -2]]), [1, 1])
         assert result.order == 1
         assert result.particular == (3, 1)
 
     def test_minimal_order_no_rational_preimage(self):
-        assert minimal_order_solve(hermite_form([[0, 0], [0, 0]]), [1, 0]) is None
+        assert minimal_order_solve(echelon_form([[0, 0], [0, 0]]), [1, 0]) is None
 
     def test_rational_zero_rhs(self):
-        result = minimal_order_solve(hermite_form([[-2]]), [0])
+        result = minimal_order_solve(echelon_form([[-2]]), [0])
         assert result == (1, (0,), ())
 
     def test_rational_back_substitution(self):
         matrix = [[0, 1], [1, -2]]
-        result = minimal_order_solve(hermite_form(matrix), [0, 2])
+        result = minimal_order_solve(echelon_form(matrix), [0, 2])
         assert (result.order, result.particular) == (1, (2, 0))
         assert t_mat_vec(matrix, result.particular) == [0, 2]
 
     def test_rational_unsolvable(self):
-        assert minimal_order_solve(hermite_form([[1, 2], [2, 4]]), [1, 0]) is None
+        assert minimal_order_solve(echelon_form([[1, 2], [2, 4]]), [1, 0]) is None
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
@@ -141,7 +141,7 @@ class TestSolvers:
         rng = random.Random(seed)
         matrix = random_int_matrix(rng, nrows, ncols)
         vector = [rng.randint(-5, 5) for _ in range(nrows)]
-        result = minimal_order_solve(hermite_form(matrix), vector)
+        result = minimal_order_solve(echelon_form(matrix), vector)
         rational = rational_gauss_solve(matrix, vector)
         if rational is None:
             assert result is None
@@ -153,7 +153,7 @@ class TestSolvers:
             assert t_mat_vec(matrix, kv) == [0] * nrows
 
     def test_kernel_basis_is_deterministic_hermite(self):
-        basis = minimal_order_solve(hermite_form([[2, 4, 6]]), [0]).kernel_basis
+        basis = minimal_order_solve(echelon_form([[2, 4, 6]]), [0]).kernel_basis
         assert basis == ((1, 1, -1), (0, 3, -2))
         for v in basis:
             assert t_mat_vec([[2, 4, 6]], v) == [0]
@@ -165,7 +165,7 @@ class TestSolvers:
         matrix = random_int_matrix(rng, nrows, nrows, -4, 4)
         vector = [rng.randint(-4, 4) for _ in range(nrows)]
         images = image_set(matrix, 12)
-        result = minimal_order_solve(hermite_form(matrix), vector)
+        result = minimal_order_solve(echelon_form(matrix), vector)
         solvable_orders = [d for d in range(1, 13)
                            if tuple(d * v for v in vector) in images]
         if result is None:
@@ -179,6 +179,62 @@ class TestSolvers:
 
 def pivot(v):
     return next(j for j, x in enumerate(v) if x)
+
+
+def full_hermite_form(matrix):
+    """The Hermite form of [M^T | I] with every row back-reduced."""
+    ncols = len(matrix[0])
+    return surgeon.exactlin._hermite_rows(
+        [list(col) + [int(i == j) for j in range(ncols)] for i, col in enumerate(zip(*matrix))])
+
+
+def max_bits(rows):
+    return max(abs(x).bit_length() for row in rows for x in row)
+
+
+class TestEchelonForm:
+    """echelon_form(M) is a basis (h, u) of the lattice of pairs (M*u, u):
+    the image rows (h != 0) first, in echelon form with positive pivots,
+    then the kernel rows in Hermite form.  Its pivots and kernel rows are
+    those of the fully reduced Hermite form."""
+
+    @staticmethod
+    def check(matrix):
+        nrows, ncols = len(matrix), len(matrix[0])
+        form = echelon_form(matrix)
+        h_block, u_block = [r[:nrows] for r in form], [r[nrows:] for r in form]
+        for h, u in zip(h_block, u_block):
+            assert t_mat_vec(matrix, u) == list(h)
+        assert fraction_det(u_block) in (1, -1)
+        rank = rational_rank(matrix)
+        assert all(any(h) for h in h_block[:rank]) and not any(map(any, h_block[rank:]))
+        pivots = [pivot(r) for r in form]
+        assert pivots == sorted(set(pivots))
+        assert all(p < nrows for p in pivots[:rank]) and all(p >= nrows for p in pivots[rank:])
+        assert all(r[p] > 0 for r, p in zip(form, pivots))
+        for t in range(rank, ncols):
+            assert all(0 <= form[i][pivots[t]] < form[t][pivots[t]] for i in range(rank, t))
+        assert smith_diagonal(h_block) == smith_diagonal(matrix)
+        full = full_hermite_form(matrix)
+        assert [r[p] for r, p in zip(full, pivots)] == [r[p] for r, p in zip(form, pivots)]
+        assert [list(r) for r in form[rank:]] == full[rank:]
+
+    def test_seeded_square_rectangular_and_singular(self):
+        rng = random.Random(2404)
+        for _ in range(300):
+            n, ncols = rng.randint(2, 6), rng.randint(1, 6)
+            inner = rng.randint(1, n - 1)
+            self.check(random_int_matrix(rng, n, n, -9, 9))
+            self.check(random_int_matrix(rng, n, ncols, -9, 9))
+            self.check(t_mat_mul(random_int_matrix(rng, n, inner, -3, 3),
+                                 random_int_matrix(rng, inner, n, -3, 3)))
+
+    @pytest.mark.parametrize("k,bits", [(6, 8), (10, 8), (20, 39), (35, 84), (50, 127)])
+    def test_image_rows_grow_as_far_as_the_full_form(self, k, bits):
+        # The image rows keep the elimination's entries; on dense linking
+        # matrices their largest bit length is that of the reduced form.
+        entries = linking_matrix(dense_diagram(random.Random(1), k)).entries
+        assert max_bits(echelon_form(entries)) == max_bits(full_hermite_form(entries)) == bits
 
 
 class TestCanonicalSolution:
@@ -205,7 +261,7 @@ class TestCanonicalSolution:
             g = gcd(*image) or 1
             # an image vector divided by its content, so that orders d > 1 occur
             vector = [x // g for x in image] if rng.random() < 0.5 else image
-            result = minimal_order_solve(hermite_form(matrix), vector)
+            result = minimal_order_solve(echelon_form(matrix), vector)
             a, basis = list(result.particular), result.kernel_basis
             assert t_mat_vec(matrix, a) == [result.order * x for x in vector]
             assert len(basis) == ncols - rational_rank(matrix)
@@ -229,7 +285,7 @@ class TestOneFactorizationPerSolve:
 
     def test_minimal_order_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        result = minimal_order_solve(hermite_form(self.MATRIX), [3])
+        result = minimal_order_solve(echelon_form(self.MATRIX), [3])
         assert result.order == 2
         assert t_mat_vec(self.MATRIX, result.particular) == [6]
         assert len(calls) == 1
@@ -237,7 +293,7 @@ class TestOneFactorizationPerSolve:
     def test_solve_rational(self, monkeypatch):
         # the rational solution is the integral one divided by its order
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
-        result = minimal_order_solve(hermite_form(self.MATRIX), [3])
+        result = minimal_order_solve(echelon_form(self.MATRIX), [3])
         particular = [Fraction(x, result.order) for x in result.particular]
         assert t_mat_vec(self.MATRIX, particular) == [3]
         assert len(result.kernel_basis) == 2
@@ -245,14 +301,14 @@ class TestOneFactorizationPerSolve:
 
     def test_given_form_is_not_recomputed(self, monkeypatch):
         # the solve substitutes into the form it is given and never factors
-        form = hermite_form(self.MATRIX)
+        form = echelon_form(self.MATRIX)
         calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
         assert minimal_order_solve(form, [3]).order == 2
         assert calls == []
 
     @pytest.mark.parametrize("matrix", [MATRIX, [[0, 1], [1, -2]]], ids=["1x3", "2x2"])
     def test_vector_length_must_match_rows(self, matrix):
-        form = hermite_form(matrix)
+        form = echelon_form(matrix)
         for vector in ([], [3] * (len(matrix) + 1)):
             with pytest.raises(ValueError, match="does not match matrix rows"):
                 minimal_order_solve(form, vector)
@@ -272,7 +328,7 @@ def check_solvers(matrix, vector, snf):
     against the SNF: with w = U*v, M*a = n*v has an integral solution iff
     every nonzero d_i divides n*w_i."""
     nrows, ncols = len(matrix), len(matrix[0])
-    result = minimal_order_solve(hermite_form(matrix), vector)
+    result = minimal_order_solve(echelon_form(matrix), vector)
     rational = rational_gauss_solve(matrix, vector)
     assert (result is None) == (rational is None)
     if result is None:

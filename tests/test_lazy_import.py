@@ -125,11 +125,11 @@ def test_tracer_installs_on_lazy_layers():
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
     assert {"cli.main", "d3.d3_report", "exactlin.minimal_order_solve", "surgery.homology",
-            "exactlin.hermite_form"} <= set(result["spans"])
+            "exactlin.echelon_form"} <= set(result["spans"])
 
 
 def test_count_calls_loads_the_lazy_layers_first():
-    # With no layer loaded yet, wrapping exactlin's hermite_form used to
+    # With no layer loaded yet, wrapping exactlin's echelon_form used to
     # let `surgery` bind the counter when it loaded; wrapping surgery's
     # binding next then counted each call twice.
     result = run_fresh(f"""
@@ -142,7 +142,7 @@ def test_count_calls_loads_the_lazy_layers_first():
 
         assert state()["ran"] == []
         with pytest.MonkeyPatch.context() as monkeypatch:
-            formed = [count_calls(monkeypatch, module, "hermite_form")
+            formed = [count_calls(monkeypatch, module, "echelon_form")
                       for module in (surgeon.exactlin, surgeon.surgery)]
             assert surgeon.cli.main(["d3", {str(CHECKED_FILE)!r}]) == 0
         print(json.dumps(sum(map(len, formed))))

@@ -24,8 +24,9 @@ Each relation runs on DRAWS random diagrams and then on SINGULAR_DRAWS
 diagrams with det Q = 0, where the solutions a and b are not unique.
 Each also runs on a few dense diagrams with k = 8 to 12 (`dense_cases`;
 the expansion on copies with two components at +-1/2) and on diagrams read
-from chain fronts with k = 8 to 16 (`chain_front`; the handle slide on
-their +-1 expansion), under a CPU limit.  On a chain front, toggling
+from chain fronts (`chain_front` with k = 8 to 16, and `kernel_chain_front`
+with k = 9 and 13, whose Q has a one-dimensional kernel; the handle slide
+on their +-1 expansion), under a CPU limit.  On a chain front, toggling
 "reversed" in every header must give the reversed diagram of the relation
 above: every rot negated, every tb and lk unchanged.  Reading a chain
 front's companion as its transverse push-off of sign t must keep the
@@ -53,6 +54,7 @@ from helpers import (
     cpu_limit,
     d3_via_expansion,
     dense_diagram,
+    fraction_det,
     front_diagram,
     random_diagram,
     singular_diagram,
@@ -90,6 +92,15 @@ def dense_cases(rng):
     return [dense_diagram(rng, k) for k in (8, 10, 12)]
 
 
+def _zigzags(rng, j):
+    """Up to two random zigzags on the strand at position j: "L<j+1> R<j>"
+    or "L<j> R<j+1>", one per rot direction."""
+    events = []
+    for _ in range(rng.randint(0, 2)):
+        events += rng.choice(([f"L{j + 1}", f"R{j}"], [f"L{j}", f"R{j + 1}"]))
+    return events
+
+
 def chain_front(rng, k, toggled=False):
     """Front text of k clasped unknots C1..Ck and a Legendrian companion K
     clasping Ck, each traversed a random way and carrying up to two random
@@ -102,30 +113,63 @@ def chain_front(rng, k, toggled=False):
     headers = [f"surgery C{j + 1} coeff {c}" for j, c in enumerate(coeffs)]
     headers.append("companion K legendrian")
     headers = [h + " reversed" if (rng.random() < 0.5) != toggled else h for h in headers]
-    # Unknot j opens with its upper strand at position j; a zigzag on that
-    # strand is "L<j+1> R<j>" or "L<j> R<j+1>", one per rot direction; the
-    # clasp crosses it twice with the upper strand of unknot j - 1.
+    # Unknot j opens with its upper strand at position j, carries its
+    # zigzags there, and the clasp crosses it twice with the upper strand of
+    # unknot j - 1.
     events = []
     for j in range(1, k + 2):
-        events.append(f"L{j}")
-        for _ in range(rng.randint(0, 2)):
-            events += rng.choice(([f"L{j + 1}", f"R{j}"], [f"L{j}", f"R{j + 1}"]))
+        events += [f"L{j}", *_zigzags(rng, j)]
         if j > 1:
             events += [f"X{j - 1}", f"X{j - 1}"]
     events += [f"R{j}" for j in range(k + 1, 0, -1)]
     return "\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n"
 
 
+def kernel_chain_front(rng, k):
+    """Front text of k clasped unknots C1..Ck, k odd, and a Legendrian
+    companion K clasping one C_j at a random even position j.  The unknots
+    at odd positions carry coefficient +1 and no zigzag (tb = -1), so their
+    diagonal entries of Q are 0 and Q has the one-dimensional kernel
+    (1, 0, +-1, 0, ..., +-1), which is 0 at every even position.  So K's
+    lk lies in the rational image and K has one Seifert shift.  The unknots
+    at even positions carry up to two zigzags and coefficients +-1 and
+    +-1/2, with C2 at +-1/2 so that the expansion is never the identity."""
+    clasp = rng.randrange(2, k, 2)
+    coeffs = ["+1" if j % 2 else rng.choice(("+1", "-1", "+1/2", "-1/2")) for j in range(1, k + 1)]
+    coeffs[1] = rng.choice(("+1/2", "-1/2"))
+    headers = [f"surgery C{j + 1} coeff {c}" for j, c in enumerate(coeffs)]
+    headers.insert(clasp, "companion K legendrian")  # K is traced right after C_clasp
+    headers = [h + " reversed" if rng.random() < 0.5 else h for h in headers]
+    # As in chain_front; K opens right below the upper strand of C_clasp,
+    # clasps it and closes before C_(clasp + 1) opens.
+    events = []
+    for j in range(1, k + 1):
+        events += [f"L{j}", *(_zigzags(rng, j) if j % 2 == 0 else ())]
+        if j > 1:
+            events += [f"X{j - 1}", f"X{j - 1}"]
+        if j == clasp:
+            events += [f"L{j + 1}", *_zigzags(rng, j + 1), f"X{j}", f"X{j}", f"R{j + 1}"]
+    events += [f"R{j}" for j in range(k, 0, -1)]
+    return "\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n"
+
+
 def chain_cases(seed):
-    """Chain-front diagrams with k = 8, 12 and 16, each with the rng that
-    drew it and its front text, after checking that some component has
-    rot != 0."""
+    """Chain-front diagrams with k = 8, 12 and 16, after checking that some
+    component has rot != 0, and kernel chain fronts with k = 9 and 13,
+    after checking that det Q = 0; each with the rng that drew it and its
+    front text."""
     cases = []
     for k in (8, 12, 16):
         rng = random.Random(seed * 100 + k)
         text = chain_front(rng, k)
         diagram = front_diagram(text)
         assert any(c.rot for c in diagram.components), diagram
+        cases.append((rng, text, diagram))
+    for k in (9, 13):
+        rng = random.Random(seed * 100 + k)
+        text = kernel_chain_front(rng, k)
+        diagram = front_diagram(text)
+        assert fraction_det(t_linking_matrix(diagram)) == 0, diagram
         cases.append((rng, text, diagram))
     return cases
 

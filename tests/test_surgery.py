@@ -18,7 +18,7 @@ from surgeon import (
     symmetric_signature,
 )
 from surgeon.cli import load_diagram
-from surgeon.exactlin import hermite_form
+from surgeon.exactlin import echelon_form
 from surgeon.surgery import EXPANSION_LIMIT
 
 from helpers import (
@@ -106,7 +106,7 @@ def chain_diagram(rng: random.Random, k) -> SurgeryDiagram:
 
 class TestHomologyAgainstSmithForm:
     """homology reads the invariant factors off the echelon rows of one
-    Hermite form of [Q^T | I]; the Smith normal form with transforms is the
+    echelon form of [Q^T | I]; the Smith normal form with transforms is the
     oracle.  2029 matrices in all."""
 
     @staticmethod
@@ -115,12 +115,12 @@ class TestHomologyAgainstSmithForm:
         hom = homology(q)
         assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
         assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
-        assert q.form == hermite_form(q.entries)
+        assert q.form == echelon_form(q.entries)
 
     @staticmethod
     def bare(entries):
         entries = tuple(map(tuple, entries))
-        return GeneralizedLinkingMatrix(entries, (1,) * len(entries), hermite_form(entries))
+        return GeneralizedLinkingMatrix(entries, (1,) * len(entries), echelon_form(entries))
 
     def test_dense(self):
         rng = random.Random(1201)
