@@ -11,7 +11,7 @@ formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 - 1/2 + q with q the number of +1 coefficients.  The closed form never
 expands (sigma(Q) comes from diag(m)*Q).  `d3_report` reads the Euler
 class, b, d3 and H_1 off one presentation of the diagram: one linking
-matrix, one Hermite form, one solve, one signature and one Smith
+matrix, one echelon form, one solve, one signature and one Smith
 diagonal; b = a / d for the solution of Q*a = d*rot by `minimal_order_solve`.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
@@ -56,10 +56,10 @@ def d3_report(diagram: SurgeryDiagram) -> D3Report:
     rot = [c.rot for c in diagram.components]
     solved = minimal_order_solve(q.form, rot)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))
-    if solved is None:
-        return D3Report(coefficients, None, None, homology(q))
-    b = tuple(Fraction(x, solved.order) for x in solved.particular)
-    total = sum((m * x * c.rot + (3 - m) * c.coeff.sign
-                 for c, m, x in zip(diagram.components, q.magnitudes, b)), Fraction(0))
-    d3 = total / 4 - Fraction(3, 4) * diagram_signature(q) - Fraction(1, 2)
+    b = d3 = None
+    if solved is not None:
+        b = tuple(Fraction(x, solved.order) for x in solved.particular)
+        total = sum((m * x * c.rot + (3 - m) * c.coeff.sign
+                     for c, m, x in zip(diagram.components, q.magnitudes, b)), Fraction(0))
+        d3 = total / 4 - Fraction(3, 4) * diagram_signature(q) - Fraction(1, 2)
     return D3Report(coefficients, b, d3, homology(q))

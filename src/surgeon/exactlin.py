@@ -7,25 +7,25 @@ matrices.
 Matrices are sequences of rows of Python integers.  Everything runs on
 arbitrary-precision integers and no floating point is used anywhere.  One
 integer elimination, the row Hermite normal form `_hermite_rows`, does all
-the integer work.  One echelon form of [M^T | I] (`echelon_form`), the
-same elimination with only its kernel rows back-reduced, serves the solve,
+the integer work.  One echelon form of [M^T | I] (`echelon_form`), the same
+elimination with only its kernel rows back-reduced, serves the solve,
 `minimal_order_solve`, which takes it in place of M and only substitutes
-into its echelon rows, and H_1, by a Smith pass over those rows without
-transforms (`smith_diagonal`).  The solve answers M*a = d*v with d minimal
-and a reduced modulo the Hermite kernel basis, so a and the rational
-solution a / d of M*b = v depend on (M, v) alone.  `smith_normal_form`
-(with transforms, after Kannan and Bachem) is kept for library callers
-and the benchmark's probe.  The image rows of the echelon form keep the
-elimination's entries.  On small random matrices their largest bit length
-differs from the fully reduced Hermite form's by a few bits either way;
-on dense random linking matrices with k = 6/10/20/35/50 both reach
-8/8/39/84/127 bits, and 21 bits on a clasped chain of k = 50.
-Back-reduction bounds the entries of the Smith passes and of D by their
-pivots.  The transforms are not size-reduced: on dense random 50 x 50
-linking matrices, whose largest invariant factor has about 130 bits, the
-entries of U reach 130-260 bits and those of V about 130.  The signature
-eliminates fraction-free, so its intermediates are minors and Hadamard's
-bound limits their size.
+into its echelon rows, and H_1: `smith_diagonal` gets those rows
+transposed and so enters at the column pass, as their row elimination is
+done.  The solve answers M*a = d*v with d minimal and a reduced modulo the
+Hermite kernel basis, so a and the rational solution a / d of M*b = v
+depend on (M, v) alone.  `smith_normal_form` (with transforms, after Kannan
+and Bachem) is kept for library callers and the benchmark's probe.  The
+image rows of the echelon form keep the elimination's entries.  On small
+random matrices their largest bit length differs from the fully reduced
+Hermite form's by a few bits either way; on dense random linking matrices
+with k = 6/10/20/35/50 both reach 8/8/39/84/127 bits, and 21 bits on a
+clasped chain of k = 50.  Back-reduction bounds the entries of the Smith
+passes and of D by their pivots.  The transforms are not size-reduced: on
+dense random 50 x 50 linking matrices, whose largest invariant factor has
+about 130 bits, the entries of U reach 130-260 bits and those of V about
+130.  The signature eliminates fraction-free, so its intermediates are
+minors and Hadamard's bound limits their size.
 """
 
 from __future__ import annotations

@@ -59,10 +59,10 @@ class HomologyPresentation(NamedTuple):
 
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
-    """H_1 of the surgered manifold from the Smith diagonal of the h-blocks
-    of Q's echelon form (image rows, then zero rows): the invariant factors
-    are the entries > 1 and the free rank is the number of zero entries."""
-    diagonal = smith_diagonal([r[:q.k] for r in q.form])
+    """H_1: the entries > 1 and the zeros (the free rank) of the Smith diagonal
+    of the h-block H of Q's echelon form.  The loop starts on H^T, so that it
+    enters at the column pass: H's rows are in echelon form already."""
+    diagonal = smith_diagonal(list(zip(*(r[:q.k] for r in q.form))))
     return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 

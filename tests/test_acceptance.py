@@ -243,11 +243,14 @@ def test_solution_independence():
             ((0, 1), (1, 0)),
             (CompanionKnot("K", "legendrian", lk_vector, tb=-1, rot=0),))
 
+    # 50 random draws with a kernel, where tb_M from a shifted solution must
+    # be the printed one; the +-1 invertible draws met on the way compare tb
+    # with the oracle.
     constructed = [singular((1, 1), (1, 1)), singular((1, -1), (2, 2)),
                    singular((-3, 1), (0, 0))]
     rng = random.Random(5150)
     compared_tb = 0
-    while len(constructed) < 40:
+    while len(constructed) < 53:
         diagram = random_diagram(rng, with_knot=True)
         solution = minimal_order_solve(linking_matrix(diagram).form, diagram.knots[0].lk)
         if solution is not None and solution.kernel_basis:
@@ -268,6 +271,9 @@ def test_solution_independence():
                 shifted = [a + 2 * x for a, x in zip(report.solution, v)]
                 assert t_mat_vec(q.entries, shifted) == [report.order * x for x in knot.lk]
                 assert tb_pairing(diagram, v) == 0
+                assert report.tb == knot.tb - Fraction(sum(
+                    x * c.coeff.magnitude * l for x, c, l in zip(shifted, diagram.components, knot.lk)),
+                    report.order)
                 exercised_tb += 1
 
         rot = [c.rot for c in diagram.components]
@@ -282,7 +288,7 @@ def test_solution_independence():
             other = [b + Fraction(7, 2) * x for b, x in zip(particular, v)]
             assert sum(w * o for w, o in zip(weights, other)) == base
             exercised_pairing += 1
-    assert exercised_tb >= 40
+    assert exercised_tb >= 53
     assert exercised_pairing >= 3
     assert compared_tb == 100
 

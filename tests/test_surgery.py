@@ -23,6 +23,7 @@ from surgeon.surgery import EXPANSION_LIMIT
 
 from helpers import (
     char_poly,
+    cpu_limit,
     dense_diagram,
     fraction_det,
     poly_mul,
@@ -92,12 +93,12 @@ class TestHomology:
         assert hom.free_rank == 1
 
 
-def chain_diagram(rng: random.Random, k) -> SurgeryDiagram:
+def chain_diagram(rng: random.Random, k, m_max=3) -> SurgeryDiagram:
     """A chain of k unknots, each linking the next once, with random tb and
-    coefficients +-1/m (m <= 3): a tridiagonal Q."""
+    coefficients +-1/m (m <= m_max): a tridiagonal Q."""
     tbs = [rng.randint(-3, 1) for _ in range(k)]
     components = [LegendrianComponent(f"C{i + 1}", tb, 1 - tb % 2,
-                                      ContactCoefficient(rng.choice((1, -1)), rng.randint(1, 3)))
+                                      ContactCoefficient(rng.choice((1, -1)), rng.randint(1, m_max)))
                   for i, tb in enumerate(tbs)]
     signs = [rng.choice((1, -1)) for _ in range(k - 1)]
     linking = [[signs[min(i, j)] if abs(i - j) == 1 else 0 for j in range(k)] for i in range(k)]
@@ -195,6 +196,23 @@ class TestHomologyWithoutSmithForm:
         rng = random.Random(1214)
         ks = [k for k in range(2, 13) for _ in range(2)] + [16, 20]
         assert sum(self.check(linking_matrix(chain_diagram(rng, k))) for k in ks) >= 24
+
+
+def test_homology_continues_the_form():
+    """A growth guard: H_1 of a clasped chain of 400 unknots continues the
+    echelon form of Q; back-reducing its image rows first takes over 1 s of
+    CPU.  With +-1 coefficients Q is tridiagonal with unit
+    off-diagonal entries, so its (k-1)-minors have gcd 1 and H_1 is cyclic
+    of order |det Q|, which the continuant recurrence gives."""
+    q = linking_matrix(chain_diagram(random.Random(1221), 400, m_max=1))
+    with cpu_limit(1):
+        hom = homology(q)
+    a = q.entries
+    det, previous = a[0][0], 1
+    for i in range(1, q.k):
+        det, previous = a[i][i] * det - a[i][i - 1] * a[i - 1][i] * previous, det
+    assert det != 0
+    assert hom == (((abs(det),) if abs(det) > 1 else ()), 0)
 
 
 class TestExpansion:
