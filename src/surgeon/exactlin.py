@@ -24,12 +24,15 @@ clasped chain of k = 50.  Back-reduction bounds the entries of the Smith
 passes and of D by their pivots.  The transforms are not size-reduced: on
 dense random 50 x 50 linking matrices, whose largest invariant factor has
 about 130 bits, the entries of U reach 130-260 bits and those of V about
-130.  The signature eliminates fraction-free, so its intermediates are
-minors and Hadamard's bound limits their size.
+130.  The signature eliminates fraction-free on rows of nonzeros, pivoting
+in the sparsest row; a pivot updates only the rows it touches and any other
+row is scaled by P_t / P_e when next read.  A symmetric pivot order is a
+permutation, so every intermediate is a minor and Hadamard bounds its size.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -250,50 +253,62 @@ def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveRe
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
-    Fraction-free (Bareiss) congruence elimination.  Symmetric swaps bring a
-    nonzero diagonal entry to the pivot; when the whole remaining diagonal
-    is zero, adding a row and column with a nonzero entry in the pivot
-    column creates one (twice that entry), and a zero remaining column
-    counts as a zero eigenvalue.  Each update (p*a_ij - a_it*a_tj) divides
-    exactly by the previous pivot, so every intermediate is a minor of a
-    unimodular congruent of the input and Hadamard's bound limits its bit
-    length.  Each repair adds an untouched row and column, so the entries
-    of that congruent are at most four times the input's.  The t-th Schur
-    pivot is p_t / p_(t-1); by Sylvester its sign is what the signature
-    counts.
+    Fraction-free (Bareiss) congruence elimination on rows kept as dicts of
+    their nonzeros.  Each step pivots on the nonzero diagonal entry of the
+    row with the fewest nonzeros (the smallest index on ties).  When the
+    whole remaining diagonal is zero, adding a row and column o with
+    a_ro != 0 to the sparsest row and column r makes a_rr = 2 a_ro; an empty
+    row counts as a zero eigenvalue.  The update (p*a_ij - a_ir*a_rj) / p_prev
+    divides exactly and runs only on the rows i the pivot row lists
+    (a_ir != 0, by symmetry): on any other row it is the scaling p / p_prev.
+    So with pivots P_1, P_2, ... and P_0 = 1, a row keeps the entries x it
+    held after its last exact step e, and is scaled to x * P_t / P_e when
+    read after step t.  A symmetric pivot order is a permutation, so every
+    intermediate is still a minor of a unimodular congruent of the input
+    and Hadamard's bound limits it; each repair adds an untouched row and
+    column, so that congruent's entries are at most four times the input's.
+    The t-th Schur pivot is P_t / P_(t-1); by Sylvester its sign is what the
+    signature counts.
     """
     a = _as_rows(matrix)
-    n = len(a)
-    if n and len(a[0]) != n:
+    if a and len(a[0]) != len(a):
         raise ValueError("signature needs a square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if a != [list(col) for col in zip(*a)]:
+        raise ValueError("matrix is not symmetric")
 
-    n_plus = n_minus = n_zero = 0
-    prev = 1
-    while a:
-        if a[0][0] == 0:
-            swap = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
-            if swap is not None:
-                a[0], a[swap] = a[swap], a[0]
-                for row in a:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                other = next((i for i in range(1, len(a)) if a[i][0] != 0), None)
-                if other is None:
-                    n_zero += 1
-                    a = [row[1:] for row in a[1:]]
-                    continue
-                a[0] = [x + y for x, y in zip(a[0], a[other])]
-                for row in a:
-                    row[0] += row[other]
-        pivot, *top = a[0]
-        if (pivot > 0) == (prev > 0):
-            n_plus += 1
-        else:
-            n_minus += 1
-        a = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
-        prev = pivot
-    return n_plus, n_zero, n_minus
+    rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(a)}
+    last = dict.fromkeys(rows, 0)  # the number of pivots after which each row was exact
+    pivots = [1]
+
+    def exact(i: int) -> dict[int, int]:
+        if last[i] != len(pivots) - 1:
+            rows[i] = {j: x * pivots[-1] // pivots[last[i]] for j, x in rows[i].items()}
+            last[i] = len(pivots) - 1
+        return rows[i]
+
+    n_minus = 0
+    while rows:
+        r = min(((len(row), i) for i, row in rows.items() if i in row), default=(0, None))[1]
+        if r is None:
+            size, r = min((len(row), i) for i, row in rows.items())
+            if not size:
+                del rows[r]
+                continue
+            top, other = exact(r), exact(o := min(rows[r]))
+            # The zeros these adds may leave are in row and column r, which the pivot drops.
+            for j, x in other.items():  # row r += row o
+                top[j] = top.get(j, 0) + x
+            for i in other:  # column r += column o, in row i's own scale
+                rows[i][r] = rows[i].get(r, 0) + rows[i][o]
+        top = exact(r)
+        del rows[r]
+        pivot, prev = top.pop(r), pivots[-1]
+        n_minus += (pivot > 0) != (prev > 0)
+        for i in top:
+            row = dict.fromkeys(top, 0)  # row i, with a 0 where only the pivot row has an entry
+            row.update(exact(i))
+            f = row.pop(r)
+            rows[i] = {j: x for j, y in row.items() if (x := (pivot * y - f * top.get(j, 0)) // prev)}
+            last[i] = len(pivots)
+        pivots.append(pivot)
+    return len(pivots) - 1 - n_minus, len(a) + 1 - len(pivots), n_minus

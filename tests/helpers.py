@@ -199,6 +199,50 @@ def fraction_signature(matrix):
     return n_plus, n_zero, n_minus
 
 
+def tridiagonal_signature(matrix):
+    """(n_plus, n_zero, n_minus) of a symmetric tridiagonal integer matrix by
+    Jacobi's rule: when no leading principal minor D_1, ..., D_n is 0, the
+    number of negative eigenvalues is the number of sign changes in
+    1, D_1, ..., D_n.  The minors are continuants,
+    D_i = a_ii D_(i-1) - a_i,i-1 a_i-1,i D_(i-2).  Falls back on
+    `fraction_signature` when some D_i is 0."""
+    minors = [1]
+    for i, row in enumerate(matrix):
+        minors.append(row[i] * minors[-1] - (row[i - 1] * matrix[i - 1][i] * minors[-2] if i else 0))
+    if 0 in minors:
+        return fraction_signature(matrix)
+    n_minus = sum(1 for a, b in zip(minors, minors[1:]) if (a > 0) != (b > 0))
+    return len(matrix) - n_minus, 0, n_minus
+
+
+def random_block_symmetric(rng: random.Random, n):
+    """A random symmetric n x n integer matrix that is block diagonal up to a
+    random symmetric permutation.  Each block is a path (tridiagonal in the
+    block's order, mostly zero on the diagonal, nonzero off it), or a rank
+    one block c*v*v^T, whose rows turn zero once one of them is a pivot.  So
+    an elimination meets zero diagonals after pivots elsewhere, rows that no
+    pivot touches for many steps, and zero rows that appear mid-sweep."""
+    order = list(range(n))
+    rng.shuffle(order)
+    matrix = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        block = order[start:start + rng.randint(1, max(1, n // 2))]
+        start += len(block)
+        if rng.random() < 0.25:
+            c = rng.choice((-2, -1, 1, 2))
+            v = [rng.randint(-2, 2) for _ in block]
+            for x, i in zip(v, block):
+                for y, j in zip(v, block):
+                    matrix[i][j] = c * x * y
+            continue
+        for t, i in enumerate(block):
+            matrix[i][i] = rng.choice((0, 0, 0, rng.randint(-3, 3)))
+            if t:
+                matrix[i][block[t - 1]] = matrix[block[t - 1]][i] = rng.choice((-2, -1, 1, 2))
+    return matrix
+
+
 def random_symmetric(rng: random.Random, n, family):
     """A random symmetric n x n integer matrix from one of three families:
     "sparse" (about 40 % of entries in [-3, 3]), "zero-diagonal" (half the
@@ -469,6 +513,21 @@ def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:
     knots.append(CompanionKnot("T1", "transverse", tuple(rng.randint(-2, 2) for _ in range(k)),
                                sl=sl, transverse_sign=sign))
     return SurgeryDiagram(tuple(components), tuple(tuple(r) for r in linking), tuple(knots))
+
+
+def bench_chain_diagram(rng: random.Random, k) -> SurgeryDiagram:
+    """The surgery link of the benchmark's chain-front generator: k unknots
+    with tb = -1, rot = 0 and coefficients +-1, each clasping the next with
+    linking number +-1, so S = Q is tridiagonal with 0 or -2 on the diagonal.
+    Makes the same draws (the companion K aside), so a seed names the same
+    chain in both."""
+    signs = [rng.choice((1, -1)) for _ in range(k)]
+    flipped = [rng.random() < 0.5 for _ in range(k + 1)]
+    components = tuple(LegendrianComponent(f"C{j + 1}", -1, 0, ContactCoefficient(s, 1))
+                       for j, s in enumerate(signs))
+    lk = [1 if flipped[j] == flipped[j + 1] else -1 for j in range(k)]
+    linking = tuple(tuple(lk[min(i, j)] if abs(i - j) == 1 else 0 for j in range(k)) for i in range(k))
+    return SurgeryDiagram(components, linking)
 
 
 def oracle_front_invariants(text):

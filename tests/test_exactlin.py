@@ -19,6 +19,7 @@ from surgeon import (
 from surgeon.exactlin import echelon_form, smith_diagonal
 
 from helpers import (
+    bench_chain_diagram,
     char_poly,
     check_snf_invariants,
     count_calls,
@@ -31,12 +32,14 @@ from helpers import (
     leibniz_det,
     oracle_d3_pm1,
     oracle_invariants,
+    random_block_symmetric,
     random_int_matrix,
     random_symmetric,
     rational_gauss_solve,
     rational_rank,
     t_mat_mul,
     t_mat_vec,
+    tridiagonal_signature,
 )
 
 
@@ -456,6 +459,32 @@ class TestSignature:
             for j in range(i, 40):
                 matrix[i][j] = matrix[j][i] = rng.randint(-2, 2)
         assert symmetric_signature(matrix) == fraction_signature(matrix)
+
+    def test_sparse_sweep_paths(self):
+        # Permuted block-diagonal S: repairs after pivots in other blocks,
+        # rows rescaled across several pivots, zero rows appearing mid-sweep.
+        rng = random.Random("signature-blocks")
+        for _ in range(400):
+            matrix = random_block_symmetric(rng, rng.randint(1, 16))
+            assert symmetric_signature(matrix) == fraction_signature(matrix)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            diagonal = [rng.choice((0, 0, -2, 1)) for _ in range(n)]
+            off = [rng.choice((-1, 1)) for _ in range(n)]
+            matrix = [[diagonal[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0
+                       for j in range(n)] for i in range(n)]
+            assert symmetric_signature(matrix) == tridiagonal_signature(matrix)
+
+    def test_chain_growth_guard(self):
+        """sigma of the benchmark's chain of 400 clasped unknots, a
+        tridiagonal S: a pivot updates only the rows it touches, so it takes
+        milliseconds, where rescaling every remaining row at every pivot
+        takes over 1 s of CPU.  Seed 5 has no zero leading minor, so the
+        oracle is Jacobi's rule alone (`fraction_signature` takes 1 s here)."""
+        matrix = [list(row) for row in linking_matrix(bench_chain_diagram(random.Random(5), 400)).entries]
+        with cpu_limit(1):
+            inertia = symmetric_signature(matrix)
+        assert inertia == tridiagonal_signature(matrix)
 
 
 class TestCharPoly:
