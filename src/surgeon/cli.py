@@ -17,7 +17,8 @@ rational value is serialized as an exact "p/q" string (plain "p" when the
 denominator is 1), never as a decimal.
 
 Exit codes: 0 success, 1 user error (parse or validation failure, unknown
-knot, bad flags), 2 internal error.  Set SURGEON_COLOR=1/0 to force
+knot, bad flags) or a standard output closed before the report was
+written (as by `| head`), 2 internal error.  Set SURGEON_COLOR=1/0 to force
 colored diagnostics on or off; the default follows whether stderr is a
 terminal.
 """
@@ -445,6 +446,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UserError as exc:
         print(f"{_paint('error', '31')}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # an in-process stdout such as StringIO has no descriptor
+            return 1
+        with open(os.devnull, "wb") as devnull:  # so that the flush at shutdown stays quiet
+            os.dup2(devnull.fileno(), fd)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 2
         print(f"{_paint('internal error', '31')}: {exc!r}", file=sys.stderr)

@@ -15,7 +15,7 @@ import random
 import signal
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import surgeon
 from surgeon import CompanionKnot, ContactCoefficient, LegendrianComponent, SurgeryDiagram
@@ -301,6 +301,95 @@ def check_snf_invariants(matrix, snf):
         for j in range(len(D[0]) if D else 0):
             if i != j:
                 assert D[i][j] == 0
+
+
+def determinantal_factors(matrix):
+    """Smith diagonal from the determinantal divisors: d_1 * ... * d_i is
+    the gcd of the i x i minors (by `leibniz_det`), and every factor past
+    the rank is 0.  Fine while the smaller side is at most 5."""
+    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+    factors, previous = [], 1
+    for i in range(1, min(nrows, ncols) + 1):
+        divisor = gcd(*(leibniz_det([[matrix[r][c] for c in cols] for r in rows])
+                        for rows in itertools.combinations(range(nrows), i)
+                        for cols in itertools.combinations(range(ncols), i)))
+        if divisor == 0:
+            return tuple(factors) + (0,) * (min(nrows, ncols) - len(factors))
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors)
+
+
+def diagonal_factors(entries, size):
+    """Smith diagonal of a matrix whose smaller side is `size` and whose
+    nonzero entries, all on the diagonal, are `entries`: factor each by
+    trial division, then the t-th largest power of each prime goes into the
+    t-th factor from the last nonzero one.  Zeros trail."""
+    nonzero = [abs(x) for x in entries if x]
+    exponents = {}  # prime -> its exponent in each entry it divides
+    for x in nonzero:
+        p = 2
+        while x > 1:
+            if p * p > x:
+                p = x
+            e = 0
+            while x % p == 0:
+                x, e = x // p, e + 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    factors = [1] * len(nonzero)
+    for p, es in exponents.items():
+        for t, e in enumerate(sorted(es, reverse=True)):
+            factors[len(nonzero) - 1 - t] *= p ** e
+    return tuple(factors) + (0,) * (size - len(nonzero))
+
+
+def smith_oracle(matrix):
+    """The Smith diagonal by `diagonal_factors` when every nonzero entry is
+    on the diagonal, by `determinantal_factors` when the smaller side is at
+    most 5, and None otherwise."""
+    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+    if all(x == 0 for i, row in enumerate(matrix) for j, x in enumerate(row) if i != j):
+        return diagonal_factors([matrix[i][i] for i in range(min(nrows, ncols))], min(nrows, ncols))
+    if min(nrows, ncols) <= 5:
+        return determinantal_factors(matrix)
+    return None
+
+
+NON_DIVIDING_ENTRIES = (0, 2, 3, 4, 6, 9, 10, 12, 15, 30)
+
+
+def non_dividing_family(rng: random.Random, count, k_max=7):
+    """`count` pairs (matrix, its Smith diagonal) with entries drawn from
+    NON_DIVIDING_ENTRIES, so that the diagonal the Smith passes reach has
+    many pairs where one entry does not divide a later one, and some zeros.
+    A third each: square diagonal, rectangular diagonal, and block diagonal
+    (square or rectangular) with blocks of at most 3 x 3, whose diagonal is
+    `diagonal_factors` of its blocks' `determinantal_factors`."""
+    out = []
+    for t in range(count):
+        nrows = rng.randint(1, k_max)
+        ncols = nrows if t % 3 == 0 else rng.randint(1, k_max)
+        size = min(nrows, ncols)
+        matrix = [[0] * ncols for _ in range(nrows)]
+        if t % 3 < 2:
+            for i in range(size):
+                matrix[i][i] = rng.choice(NON_DIVIDING_ENTRIES)
+            out.append((matrix, diagonal_factors([matrix[i][i] for i in range(size)], size)))
+            continue
+        blocks, r, c = [], 0, 0
+        while r < nrows and c < ncols:
+            h, w = rng.randint(1, 3), rng.randint(1, 3)
+            block = [[rng.choice(NON_DIVIDING_ENTRIES) for _ in range(w)] for _ in range(h)]
+            block = [row[:ncols - c] for row in block[:nrows - r]]
+            for i, row in enumerate(block):
+                matrix[r + i][c:c + len(row)] = row
+            blocks.append(block)
+            r, c = r + len(block), c + len(block[0])
+        entries = [d for block in blocks for d in determinantal_factors(block)]
+        out.append((matrix, diagonal_factors(entries, size)))
+    return out
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -491,6 +494,36 @@ class TestFrontCommand:
                          "--emit-diagram", str(tmp_path / "front_diagram.json"))
         assert code == 0
         assert (len(traced), len(assembled)) == (1, 1)
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    # A table of 150 clasped unknots (about 90 KB, more than a pipe holds)
+    # read up to its first line: the writes after that fail with EPIPE.
+    k = 150
+    headers = [f"surgery C{j} coeff -1" for j in range(1, k + 1)]
+    events = ["L1"] + [f"L{j + 1} X{j} X{j}" for j in range(1, k)] + [f"R{j}" for j in range(k, 0, -1)]
+    path = tmp_path / "chain.front"
+    path.write_text("\n".join(headers) + "\nevents:\n" + " ".join(events) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(Path(surgeon.__file__).parent.parent), os.environ.get("PYTHONPATH", "")] if p))
+    with subprocess.Popen([sys.executable, "-m", "surgeon.cli", "front", str(path)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split() == [b"component", b"tb", b"rot"]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, err
+    assert "internal error" not in err and "Exception ignored" not in err, err
+
+
+def test_closed_in_process_stdout_exits_1(monkeypatch, capsys):
+    # An in-process stdout has no file descriptor to point at devnull.
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["check", str(DIAGRAMS / "trefoil_chain_rot2.json")]) == 1
+    assert "internal error" not in capsys.readouterr().err
 
 
 class TestSerialization:
