@@ -10,6 +10,12 @@ inside functions so that every `surgeon.<layer>` entry exists from the
 start, for code that looks a layer up in `sys.modules` (reading its
 `vars()` loads it).  The names re-exported from them resolve in
 `__getattr__` on each access, so they always match the layer's binding.
+
+A layer calls another layer's functions through the module that defines
+them, as in `exactlin.echelon_form(entries)`, and imports only records and
+constants by name.  So each function has one binding, and a wrapper on
+its module, whether a test's call counter or the benchmark tracer, sees
+every call.
 """
 
 import importlib.util

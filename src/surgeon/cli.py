@@ -32,18 +32,9 @@ import sys
 from pathlib import Path
 from typing import Any, Optional
 
-from . import d3, fronts, invariants, surgery
-from .diagrams import (
-    LEGENDRIAN,
-    TRANSVERSE,
-    TRANSVERSE_SIGNS,
-    CompanionKnot,
-    ContactCoefficient,
-    Diagnostic,
-    LegendrianComponent,
-    SurgeryDiagram,
-    validate,
-)
+from . import d3, diagrams, fronts, invariants, surgery
+from .diagrams import (LEGENDRIAN, TRANSVERSE, TRANSVERSE_SIGNS, CompanionKnot, ContactCoefficient,
+                       Diagnostic, LegendrianComponent, SurgeryDiagram)
 
 
 class UserError(Exception):
@@ -285,7 +276,7 @@ def _emit_text(data: dict, indent: str = "") -> None:
 
 def _cmd_check(args) -> int:
     diagram = load_diagram(args.file)
-    diagnostics = validate(diagram)
+    diagnostics = diagrams.validate(diagram)
     print_diagnostics(diagnostics, args.file)
     errors = sum(1 for d in diagnostics if d.severity == "error")
     warnings = len(diagnostics) - errors
@@ -298,7 +289,7 @@ def _cmd_check(args) -> int:
 
 def _checked_diagram(path: str) -> SurgeryDiagram:
     diagram = load_diagram(path)
-    diagnostics = validate(diagram)
+    diagnostics = diagrams.validate(diagram)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         print_diagnostics(diagnostics, path)
@@ -342,7 +333,7 @@ def _diagram_json(data: dict) -> str:
 def _write_diagram(diagram: SurgeryDiagram, path: str, described: str) -> None:
     """Write a diagram file that `check` accepts, or raise UserError naming
     the errors (`described` names the diagram) or the failed write."""
-    errors = [d.message for d in validate(diagram) if d.severity == "error"]
+    errors = [d.message for d in diagrams.validate(diagram) if d.severity == "error"]
     if errors:
         raise UserError(f"{described} would be invalid: {'; '.join(errors)}")
     payload = _diagram_json(diagram_to_dict(diagram))

@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import exactlin, surgery
 from .diagrams import SurgeryDiagram
-from .exactlin import minimal_order_solve
-from .surgery import HomologyPresentation, diagram_signature, homology, linking_matrix
+from .surgery import HomologyPresentation
 
 
 class D3Report(NamedTuple):
@@ -52,14 +52,14 @@ class D3Report(NamedTuple):
 
 def d3_report(diagram: SurgeryDiagram) -> D3Report:
     """Euler class, d3 by the closed form, and H_1 of the diagram."""
-    q = linking_matrix(diagram)
+    q = surgery.linking_matrix(diagram)
     rot = [c.rot for c in diagram.components]
-    solved = minimal_order_solve(q.form, rot)
+    solved = exactlin.minimal_order_solve(q.form, rot)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))
     b = d3 = None
     if solved is not None:
         b = tuple(Fraction(x, solved.order) for x in solved.particular)
         total = sum((m * x * c.rot + (3 - m) * c.coeff.sign
                      for c, m, x in zip(diagram.components, q.magnitudes, b)), Fraction(0))
-        d3 = total / 4 - Fraction(3, 4) * diagram_signature(q) - Fraction(1, 2)
-    return D3Report(coefficients, b, d3, homology(q))
+        d3 = total / 4 - Fraction(3, 4) * surgery.diagram_signature(q) - Fraction(1, 2)
+    return D3Report(coefficients, b, d3, surgery.homology(q))

@@ -215,43 +215,42 @@ def _trace(doc: FrontDocument):
     """Cusps, crossings, and each arc's component and direction.
 
     One sweep over the events numbers the arcs in creation order (the
-    j-th left cusp starts arcs 2j and 2j+1) and records every cusp, every
-    crossing and each arc's partner at its left and at its right cusp.
-    One walk per component, arc -> right-cusp partner -> left-cusp
-    partner -> ... back to its first arc, then numbers the components and
-    directs the arcs: directions alternate along the walk, and the first
-    arc runs rightward unless the component's header says "reversed".
+    j-th left cusp starts arcs 2j and 2j+1, so an arc's left-cusp partner
+    is arc ^ 1) and records every cusp, every crossing and each arc's
+    partner at its right cusp.  One walk per component, arc -> right-cusp
+    partner -> left-cusp partner -> ... back to its first arc, numbers the
+    components and directs the arcs: directions alternate along the walk,
+    and the first arc runs rightward unless its header says "reversed".
 
     Returns (cusps, crossings, component, direction, starts): cusps as
-    (kind, upper arc, lower arc), crossings as (over arc, under arc), per
-    arc its component and direction (+1 rightward, -1 leftward), and per
-    component its first arc.
+    (upper arc, side) with side -1 at a left cusp and +1 at a right one,
+    crossings as (over arc, under arc), per arc its component and
+    direction (+1 rightward, -1 leftward), and per component its first arc.
     """
     open_: list[int] = []
-    left: dict[int, int] = {}  # arc -> partner arc at its left cusp
+    arcs = 0
     right: dict[int, int] = {}  # arc -> partner arc at its right cusp
-    cusps: list[tuple[str, int, int]] = []  # (kind, upper arc, lower arc)
+    cusps: list[tuple[int, int]] = []  # (upper arc, side)
     crossings: list[tuple[int, int]] = []  # (over arc, under arc): over enters on top
     for ev in doc.events:
         i = ev.position - 1
         if ev.kind == "L":
-            upper, lower = len(left), len(left) + 1
-            open_[i:i] = [upper, lower]
-            left[upper], left[lower] = lower, upper
-            cusps.append(("L", upper, lower))
+            open_[i:i] = [arcs, arcs + 1]
+            cusps.append((arcs, -1))
+            arcs += 2
         elif ev.kind == "R":
             upper, lower = open_.pop(i), open_.pop(i)
             right[upper], right[lower] = lower, upper
-            cusps.append(("R", upper, lower))
+            cusps.append((upper, 1))
         else:
             over, under = open_[i], open_[i + 1]
             crossings.append((over, under))
             open_[i], open_[i + 1] = under, over
 
-    component = [-1] * len(left)
-    direction = [0] * len(left)
+    component = [-1] * arcs
+    direction = [0] * arcs
     starts: list[int] = []
-    for start in range(len(left)):
+    for start in range(arcs):
         if component[start] >= 0:
             continue
         n = len(starts)
@@ -261,7 +260,7 @@ def _trace(doc: FrontDocument):
             partner = right[arc]
             component[arc] = component[partner] = n
             direction[arc], direction[partner] = first, -first
-            arc = left[partner]
+            arc = partner ^ 1
         starts.append(start)
     return cusps, crossings, component, direction, starts
 
@@ -283,13 +282,13 @@ def classical_invariants(doc: FrontDocument) -> FrontInvariants:
     writhe = [0] * n
     lk2 = [[0] * n for _ in range(n)]
 
-    for kind, upper, lower in cusps:
+    for upper, side in cusps:
         comp = component[upper]
         cusp_count[comp] += 1
-        # Entering arc: the leftward one at a left cusp, the rightward one
-        # at a right cusp.  Entering on the upper branch means the strand
-        # passes downward through the cusp.
-        rot2[comp] += 1 if direction[upper] == (-1 if kind == "L" else 1) else -1
+        # Entering arc: the leftward one (direction -1) at a left cusp, the
+        # rightward one (+1) at a right cusp.  Entering on the upper branch,
+        # direction[upper] == side, means the strand passes downward.
+        rot2[comp] += side * direction[upper]
 
     for over, under in crossings:
         # Over strand descends; parallel traversal makes the frame

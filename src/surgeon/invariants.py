@@ -27,9 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import exactlin, surgery
 from .diagrams import SurgeryDiagram
-from .exactlin import minimal_order_solve
-from .surgery import linking_matrix
 
 
 class InvariantReport(NamedTuple):
@@ -68,8 +67,8 @@ def invariant_report(diagram: SurgeryDiagram, name: str) -> InvariantReport:
     knot = diagram.knot(name)
     if len(knot.lk) != diagram.k:
         raise ValueError(f"{knot.name}: lk vector has length {len(knot.lk)}, expected {diagram.k}")
-    q = linking_matrix(diagram)
-    solved = minimal_order_solve(q.form, knot.lk)
+    q = surgery.linking_matrix(diagram)
+    solved = exactlin.minimal_order_solve(q.form, knot.lk)
     if solved is None:
         return InvariantReport(knot.name, knot.kind, None, None, None, None, None, ())
 

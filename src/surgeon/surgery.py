@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram, topological_coefficient
-from .exactlin import Matrix, echelon_form, smith_diagonal, symmetric_signature
+from . import diagrams, exactlin
+from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram
+from .exactlin import Matrix
 
 # Largest number of components `expand_to_pm1` builds, i.e. the largest sum
 # of the coefficient magnitudes m it expands.  The expanded linking matrix
@@ -42,12 +43,12 @@ class GeneralizedLinkingMatrix(NamedTuple):
 def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
     """Build the generalized linking matrix of a diagram and its echelon form."""
     k = diagram.k
-    slopes = [topological_coefficient(c) for c in diagram.components]
+    slopes = [diagrams.topological_coefficient(c) for c in diagram.components]
     entries = tuple(
         tuple(slopes[i][0] if i == j else slopes[j][1] * diagram.linking[i][j]
               for j in range(k))
         for i in range(k))
-    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), echelon_form(entries))
+    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), exactlin.echelon_form(entries))
 
 
 class HomologyPresentation(NamedTuple):
@@ -62,7 +63,7 @@ def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
     """H_1: the entries > 1 and the zeros (the free rank) of the Smith diagonal
     of the h-block H of Q's echelon form.  The loop starts on H^T, so that it
     enters at the column pass: H's rows are in echelon form already."""
-    diagonal = smith_diagonal(list(zip(*(r[:q.k] for r in q.form))))
+    diagonal = exactlin.smith_diagonal(list(zip(*(r[:q.k] for r in q.form))))
     return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 
@@ -113,5 +114,5 @@ def diagram_signature(q: GeneralizedLinkingMatrix) -> int:
     symmetric k x k integer matrix, at a cost independent of the m_i.
     """
     weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
-    n_plus, _, n_minus = symmetric_signature(weighted)
+    n_plus, _, n_minus = exactlin.symmetric_signature(weighted)
     return n_plus - n_minus

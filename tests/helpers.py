@@ -13,7 +13,6 @@ import contextlib
 import itertools
 import random
 import signal
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -394,14 +393,8 @@ def non_dividing_family(rng: random.Random, count, k_max=7):
 
 def count_calls(monkeypatch, module, name):
     """Wrap module.name in a counter for the rest of the test; the returned
-    list grows by one entry per call.
-
-    Every lazy `surgeon` layer is loaded first.  A layer loaded after the
-    wrapping would bind the counter through its `from .x import name`, and
-    counting that layer's binding too would count each call twice.
-    """
-    for layer in [m for key, m in sys.modules.items() if key.startswith("surgeon.")]:
-        vars(layer)  # reading a lazy layer's namespace runs its code
+    list grows by one entry per call.  Layers call each other's functions
+    through the defining module, so the counter sees the calls of all."""
     calls = []
     original = getattr(module, name)
 
