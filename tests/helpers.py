@@ -15,9 +15,12 @@ import random
 import signal
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import surgeon
 from surgeon import CompanionKnot, ContactCoefficient, LegendrianComponent, SurgeryDiagram
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # ---------------------------------------------------------------------------

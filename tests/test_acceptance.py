@@ -11,7 +11,6 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from surgeon import (
     CompanionKnot,
@@ -34,6 +33,7 @@ from surgeon.cli import load_diagram, main
 from surgeon.exactlin import echelon_form
 
 from helpers import (
+    CORPUS,
     char_poly,
     check_snf_invariants,
     descartes_split,
@@ -52,8 +52,8 @@ from helpers import (
     tb_pairing,
 )
 
-DIAGRAMS = Path(__file__).resolve().parent.parent / "corpus" / "diagrams"
-FRONTS = Path(__file__).resolve().parent.parent / "corpus" / "fronts"
+DIAGRAMS = CORPUS / "diagrams"
+FRONTS = CORPUS / "fronts"
 
 
 def criterion(number, title):

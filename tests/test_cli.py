@@ -16,9 +16,8 @@ import surgeon.surgery
 from surgeon import expand_to_pm1
 from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, load_diagram, main
 
-from helpers import count_calls, cpu_limit, front_diagram, random_diagram
+from helpers import CORPUS, count_calls, cpu_limit, front_diagram, random_diagram
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 DIAGRAMS = CORPUS / "diagrams"
 FRONTS = CORPUS / "fronts"
 GOLDEN = CORPUS / "golden"
@@ -244,6 +243,18 @@ class TestD3Command:
         assert data["d3_closed_form"] == "-24999"
         assert data["d3_via_expansion"].startswith("skipped: ")
         assert "limit of 128" in data["d3_via_expansion"]
+
+    def test_cross_check_at_expansion_limit(self, capsys, tmp_path):
+        # +1/128 expands to the 128 components the limit allows: the closed
+        # form is checked on that expansion, not skipped.
+        path = tmp_path / "u128.json"
+        path.write_text(json.dumps({"components": [
+            {"name": "U", "tb": -1, "rot": 0, "coeff": "+1/128"}], "linking": [[0]]}))
+        with cpu_limit(5):
+            code, out, _ = run(capsys, "d3", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["d3_closed_form"] == data["d3_via_expansion"] == "-31"
 
     @pytest.mark.parametrize("name,solves,signatures", [
         # A +-1 diagram expands to itself: the cross-check is the closed form.
@@ -493,6 +504,46 @@ class TestFrontCommand:
         assert code == 0
         assert (len(traced), len(assembled)) == (1, 1)
 
+    @pytest.mark.parametrize("coeff,order,tb,d3,copies", [
+        ("-1", 2, "-1/2", "-1/4", 1),
+        ("-1/2", 3, "-1/3", "0", 2),
+    ], ids=["minus1", "minus1_over_2"])
+    def test_emitted_diagram_through_every_command(self, capsys, tmp_path, coeff, order, tb,
+                                                   d3, copies):
+        text = (FRONTS / "surgery_demo.front").read_text()
+        assert text.count("coeff -1\n") == 1
+        front = tmp_path / "demo.front"
+        front.write_text(text.replace("coeff -1\n", f"coeff {coeff}\n"))
+        diagram, expanded = tmp_path / "demo.json", tmp_path / "expanded.json"
+        assert run(capsys, "front", str(front), "--emit-diagram", str(diagram))[0] == 0
+        assert json.loads(diagram.read_text())["components"][0]["coeff"] == coeff
+        assert run(capsys, "check", str(diagram))[0] == 0
+        code, out, _ = run(capsys, "invariants", str(diagram))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["order"], report["tb"]) == (order, tb)
+        code, out, _ = run(capsys, "d3", str(diagram))
+        assert code == 0
+        report = json.loads(out)
+        assert report["d3_closed_form"] == report["d3_via_expansion"] == d3
+        assert run(capsys, "expand", str(diagram), str(expanded))[0] == 0
+        assert len(json.loads(expanded.read_text())["components"]) == copies
+        assert run(capsys, "check", str(expanded))[0] == 0
+
+    @pytest.mark.parametrize("word,sl", [("positive", "-5/2"), ("negative", "-1/2")])
+    def test_transverse_header_through_invariants(self, capsys, tmp_path, word, sl):
+        # The drawn knot has tb -2, rot 1 and lk 1, so its push-off has
+        # sl -3 (positive) or -1 (negative), and sl_M = sl + 1/2 at order 2.
+        front, diagram = tmp_path / "transverse.front", tmp_path / "transverse.json"
+        front.write_text(f"surgery S coeff -1\ncompanion K transverse {word}\n"
+                         "events:\nL1 L2 L3 R2 X1 X1 R2 R1\n")
+        assert run(capsys, "front", str(front), "--emit-diagram", str(diagram))[0] == 0
+        assert run(capsys, "check", str(diagram))[0] == 0
+        code, out, _ = run(capsys, "invariants", str(diagram))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["kind"], report["order"], report["sl"]) == ("transverse", 2, sl)
+
 
 def test_closed_stdout_exits_1_quietly(tmp_path):
     # A table of 150 clasped unknots (about 90 KB, more than a pipe holds)
@@ -602,6 +653,8 @@ class TestExitCodes:
         (["--bogus"], "the following arguments are required: command"),
         (["d3", str(DIAGRAMS / "nontorsion.json"), "--format", "xml"],
          "argument --format: invalid choice: 'xml'"),
+        (["invariants", str(DIAGRAMS / "rational_order3.json"), "--knot", "-x"],
+         "argument --knot: expected one argument"),
     ])
     def test_usage_error_is_exit_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

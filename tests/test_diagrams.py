@@ -1,5 +1,4 @@
 import re
-from pathlib import Path
 
 import pytest
 
@@ -15,9 +14,7 @@ from surgeon import (
 )
 from surgeon.cli import load_diagram
 
-from helpers import front_diagram
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+from helpers import CORPUS, front_diagram
 
 
 def unknot(coeff="+1", tb=-1, rot=0, name="U"):

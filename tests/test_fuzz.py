@@ -12,7 +12,6 @@ import copy
 import io
 import json
 import os
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,8 @@ from hypothesis import strategies as st
 
 from surgeon.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+from helpers import CORPUS
+
 DIAGRAM_TEXTS = [p.read_text() for p in sorted((CORPUS / "diagrams").glob("*.json"))]
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)

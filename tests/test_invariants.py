@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,8 @@ from surgeon import (
 
 from surgeon.cli import load_diagram
 
-from helpers import (count_calls, fraction_det, legendrian_pushoff_sl, oracle_invariants,
-                     random_diagram, t_linking_matrix, tb_pairing)
+from helpers import (CORPUS, count_calls, fraction_det, legendrian_pushoff_sl,
+                     oracle_invariants, random_diagram, t_linking_matrix, tb_pairing)
 
 
 def C(text):
@@ -263,8 +262,7 @@ class TestKindGuards:
 
 
 def test_report_factors_q_once(monkeypatch):
-    diagram = load_diagram(str(Path(__file__).resolve().parent.parent
-                               / "corpus" / "diagrams" / "rational_order3.json"))
+    diagram = load_diagram(str(CORPUS / "diagrams" / "rational_order3.json"))
     calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
     report = invariant_report(diagram, "K")
     assert (report.order, report.tb) == (3, Fraction(-1, 3))

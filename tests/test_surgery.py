@@ -1,6 +1,5 @@
 import random
 from math import lcm, prod
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +21,7 @@ from surgeon.exactlin import echelon_form, smith_diagonal
 from surgeon.surgery import EXPANSION_LIMIT
 
 from helpers import (
+    CORPUS,
     NON_DIVIDING_ENTRIES,
     char_poly,
     check_snf_invariants,
@@ -39,7 +39,7 @@ from helpers import (
     t_mat_mul,
 )
 
-DIAGRAMS = Path(__file__).resolve().parent.parent / "corpus" / "diagrams"
+DIAGRAMS = CORPUS / "diagrams"
 
 
 def single(coeff, tb=-1, rot=0):
