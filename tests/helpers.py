@@ -99,6 +99,30 @@ def rational_gauss_solve(matrix, vector):
     return solution
 
 
+def rational_inverse(matrix):
+    """M^-1 by Gaussian elimination of [M | I] over the rationals, first
+    below the diagonal and then above it, so that a banded M stays banded;
+    None when M is singular."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    for c in reversed(range(n)):
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(c):
+            if rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
 def rational_rank(matrix):
     rows = [[Fraction(x) for x in row] for row in matrix]
     ncols = len(matrix[0]) if matrix else 0
@@ -246,17 +270,18 @@ def random_block_symmetric(rng: random.Random, n):
 
 
 def random_symmetric(rng: random.Random, n, family):
-    """A random symmetric n x n integer matrix from one of three families:
+    """A random symmetric n x n integer matrix from one of four families:
     "sparse" (about 40 % of entries in [-3, 3]), "zero-diagonal" (half the
-    off-diagonal entries in [-2, 2]) and "gram" (B^T diag(+-1) B with B of
-    random rank, so often singular)."""
+    off-diagonal entries in [-2, 2]), "uniform" (every entry in [-5, 5])
+    and "gram" (B^T diag(+-1) B with B of random rank, so often singular)."""
     if family == "gram":
         r = rng.randint(0, n)
         b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
         s = [rng.choice((1, -1)) for _ in range(r)]
         return [[sum(b[t][i] * s[t] * b[t][j] for t in range(r)) for j in range(n)]
                 for i in range(n)]
-    density, bound, off_diagonal = {"sparse": (0.4, 3, 0), "zero-diagonal": (0.5, 2, 1)}[family]
+    density, bound, off_diagonal = {"sparse": (0.4, 3, 0), "zero-diagonal": (0.5, 2, 1),
+                                    "uniform": (1, 5, 0)}[family]
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + off_diagonal, n):
@@ -520,6 +545,11 @@ def front_diagram(text):
 # ---------------------------------------------------------------------------
 # random diagrams and fronts
 
+def unknot_surgery(coeff) -> SurgeryDiagram:
+    """Contact surgery with coefficient `coeff` on the standard Legendrian unknot U."""
+    return SurgeryDiagram((LegendrianComponent("U", -1, 0, ContactCoefficient.parse(coeff)),), ((0,),))
+
+
 def random_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> SurgeryDiagram:
     k = rng.randint(1, k_max)
     components = []
@@ -570,18 +600,21 @@ def singular_diagram(rng: random.Random, k_max=3, m_max=4, with_knot=False) -> S
         return diagram._replace(components=components)
 
 
+def legendrian(rng: random.Random, tb_range=(-3, 3), rot_bound=3):
+    """A random (tb, rot) with tb in `tb_range`, |rot| <= rot_bound and
+    tb + rot odd, as a Legendrian knot has."""
+    tb = rng.randint(*tb_range)
+    return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
+
+
 def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:
     """A dense random +-1 diagram with k components: every linking number
     in [-2, 2], Legendrian companions K1 and K2 and a transverse T1.  Makes
     the same draws as the benchmark's dense-link generator, so a seed names
     the same diagram in both."""
-    def legendrian(tb_range=(-3, 3), rot_bound=3):
-        tb = rng.randint(*tb_range)
-        return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
-
     components = []
     for i in range(k):
-        tb, rot = legendrian()
+        tb, rot = legendrian(rng)
         coeff = ContactCoefficient(rng.choice((1, -1)), 1)
         components.append(LegendrianComponent(f"C{i + 1}", tb, rot, coeff))
     linking = [[0] * k for _ in range(k)]
@@ -590,7 +623,7 @@ def dense_diagram(rng: random.Random, k) -> SurgeryDiagram:
             linking[i][j] = linking[j][i] = rng.randint(-2, 2)
     knots = []
     for name in ("K1", "K2"):
-        tb, rot = legendrian((-3, 1), 2)
+        tb, rot = legendrian(rng, (-3, 1), 2)
         knots.append(CompanionKnot(name, "legendrian", tuple(rng.randint(-2, 2) for _ in range(k)),
                                    tb=tb, rot=rot))
     sl = rng.choice((-5, -3, -1, 1))

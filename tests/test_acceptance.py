@@ -7,7 +7,6 @@ captured output on failure), so the suite doubles as a checklist:
 """
 
 import functools
-import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -36,6 +35,7 @@ from helpers import (
     CORPUS,
     char_poly,
     check_snf_invariants,
+    d3_via_expansion,
     descartes_split,
     fraction_det,
     front_diagram,
@@ -48,8 +48,10 @@ from helpers import (
     random_int_matrix,
     rational_gauss_solve,
     rational_rank,
+    singular_diagram,
     t_mat_vec,
     tb_pairing,
+    unknot_surgery,
 )
 
 DIAGRAMS = CORPUS / "diagrams"
@@ -141,21 +143,17 @@ def test_self_linking_files():
 
 @criterion(5, "d3 of 1/n surgeries on the standard unknot, both methods")
 def test_d3_unknot_family():
-    def unknot(coeff):
-        return SurgeryDiagram(
-            (LegendrianComponent("U", -1, 0, ContactCoefficient.parse(coeff)),), ((0,),))
-
-    assert d3_report(unknot("+1")).d3 == 0
-    assert oracle_d3_pm1(expand_to_pm1(unknot("+1"))) == 0
+    assert d3_report(unknot_surgery("+1")).d3 == 0
+    assert oracle_d3_pm1(expand_to_pm1(unknot_surgery("+1"))) == 0
     for n in (2, 3, 4, 5):
         expected = 1 - Fraction(n, 4)
-        assert d3_report(unknot(f"+1/{n}")).d3 == expected
-        assert oracle_d3_pm1(expand_to_pm1(unknot(f"+1/{n}"))) == expected
+        assert d3_report(unknot_surgery(f"+1/{n}")).d3 == expected
+        assert oracle_d3_pm1(expand_to_pm1(unknot_surgery(f"+1/{n}"))) == expected
     for n in (1, 2, 3):
         expected = Fraction(n, 4) - Fraction(1, 2)
         coeff = "-1" if n == 1 else f"-1/{n}"
-        assert d3_report(unknot(coeff)).d3 == expected
-        assert oracle_d3_pm1(expand_to_pm1(unknot(coeff))) == expected
+        assert d3_report(unknot_surgery(coeff)).d3 == expected
+        assert oracle_d3_pm1(expand_to_pm1(unknot_surgery(coeff))) == expected
 
 
 def _torsion_corpus(count=500, seed=170):
@@ -168,13 +166,33 @@ def _torsion_corpus(count=500, seed=170):
     return corpus
 
 
-@criterion(6, "closed-form d3 equals the +-1 formula on 500 random torsion diagrams")
+@criterion(6, "closed-form d3 equals the +-1 formula on 500 random and 100 singular torsion diagrams")
 def test_d3_equality_randomized():
-    for diagram in _torsion_corpus():
-        closed = d3_report(diagram).d3
-        expanded = oracle_d3_pm1(expand_to_pm1(diagram))
-        assert closed is not None
-        assert closed == expanded
+    def check(diagram):
+        """The torsion flag and d3 equal their values on the expansion, and
+        d3 the oracle's there; returns the flag."""
+        report, expanded = d3_report(diagram), expand_to_pm1(diagram)
+        on_expansion = d3_report(expanded)
+        assert (report.torsion, report.d3) == (on_expansion.torsion, on_expansion.d3)
+        if report.torsion:
+            assert report.d3 == oracle_d3_pm1(expanded)
+        return report.torsion
+
+    # the draws of _torsion_corpus(), the non-torsion ones checked too
+    rng, torsion = random.Random(170), 0
+    while torsion < 500:
+        torsion += check(random_diagram(rng, k_max=3, m_max=4))
+    # det Q = 0, so b is not unique: the closed form, its value on the
+    # expansion and the oracle each pick their own b
+    singular = several = 0
+    while singular < 100:
+        diagram = singular_diagram(rng)
+        if check(diagram):
+            form = linking_matrix(diagram).form
+            assert minimal_order_solve(form, [c.rot for c in diagram.components]).kernel_basis
+            singular += 1
+            several += any(c.coeff.magnitude > 1 for c in diagram.components) and diagram.k > 1
+    assert several >= 30
 
 
 @criterion(7, "signature relation and characteristic polynomial lift on the same corpus")
@@ -219,22 +237,25 @@ def test_solver_oracle_equivalence():
         check_snf_invariants(matrix, smith_normal_form(matrix))
 
         images = image_set(matrix, bounds[ncols])
+        solvable = [n for n in range(1, max_order + 1) if tuple(n * v for v in vector) in images]
         minimal = minimal_order_solve(echelon_form(matrix), vector)
         rational = rational_gauss_solve(matrix, vector)
         assert (minimal is None) == (rational is None)
         if minimal is None:
+            assert not solvable
             continue
         d = minimal.order
         assert t_mat_vec(matrix, minimal.particular) == [d * v for v in vector]
         for kv in minimal.kernel_basis:
             assert t_mat_vec(matrix, kv) == [0] * nrows
-        # solvable orders form the ideal generated by the minimal one
-        for order in range(1, max_order + 1):
-            if tuple(order * v for v in vector) in images:
-                assert order % d == 0
+        # solvable orders form the ideal generated by the minimal one, which
+        # the box finds when it holds the printed solution
+        assert all(n % d == 0 for n in solvable)
+        if d <= max_order and all(abs(x) <= bounds[ncols] for x in minimal.particular):
+            assert d in solvable
 
 
-@criterion(9, "tb and the d3 pairing ignore the choice of solution")
+@criterion(9, "tb, the d3 pairing and d3 ignore the choice of solution")
 def test_solution_independence():
     def singular(rot_pair, lk_vector):
         return SurgeryDiagram(
@@ -261,6 +282,22 @@ def test_solution_independence():
             assert invariant_report(diagram, "K").tb == oracle_invariants(diagram, "K")[1]
             compared_tb += 1
 
+    def pairing_ignores_the_solution(diagram):
+        """Where Q*b = rot has a kernel, every b pairs alike with the weights
+        m_i rot_i, and d3 equals its value on the expansion."""
+        rot = [c.rot for c in diagram.components]
+        solved = minimal_order_solve(linking_matrix(diagram).form, rot)
+        if solved is None or not solved.kernel_basis:
+            return False
+        particular = [Fraction(x, solved.order) for x in solved.particular]
+        weights = [c.coeff.magnitude * c.rot for c in diagram.components]
+        base = sum(w * b for w, b in zip(weights, particular))
+        for v in solved.kernel_basis:
+            other = [b + Fraction(7, 2) * x for b, x in zip(particular, v)]
+            assert sum(w * o for w, o in zip(weights, other)) == base
+        assert d3_report(diagram).d3 == d3_via_expansion(diagram)
+        return True
+
     exercised_tb = exercised_pairing = 0
     for diagram in constructed:
         knot = diagram.knots[0]
@@ -275,21 +312,11 @@ def test_solution_independence():
                     x * c.coeff.magnitude * l for x, c, l in zip(shifted, diagram.components, knot.lk)),
                     report.order)
                 exercised_tb += 1
-
-        rot = [c.rot for c in diagram.components]
-        solved = minimal_order_solve(q.form, rot)
-        if solved is None or not solved.kernel_basis:
-            continue
-        particular = [Fraction(x, solved.order) for x in solved.particular]
-        kernel = solved.kernel_basis
-        weights = [c.coeff.magnitude * c.rot for c in diagram.components]
-        base = sum(w * b for w, b in zip(weights, particular))
-        for v in kernel:
-            other = [b + Fraction(7, 2) * x for b, x in zip(particular, v)]
-            assert sum(w * o for w, o in zip(weights, other)) == base
-            exercised_pairing += 1
+        exercised_pairing += pairing_ignores_the_solution(diagram)
+    # then random draws without a companion, until 40 diagrams had a kernel
+    while exercised_pairing < 40:
+        exercised_pairing += pairing_ignores_the_solution(random_diagram(rng))
     assert exercised_tb >= 53
-    assert exercised_pairing >= 3
     assert compared_tb == 100
 
 

@@ -24,16 +24,8 @@ from helpers import (
     singular_diagram,
     t_linking_matrix,
     t_mat_vec,
+    unknot_surgery,
 )
-
-
-def rational_solution(form, rot):
-    """(b, kernel basis) for Q*b = rot from minimal_order_solve's (d, a):
-    b = a / d, or None when there is no rational solution."""
-    solved = minimal_order_solve(form, rot)
-    if solved is None:
-        return None
-    return tuple(Fraction(x, solved.order) for x in solved.particular), solved.kernel_basis
 
 
 def cokernel_order(matrix, v):
@@ -44,11 +36,6 @@ def cokernel_order(matrix, v):
 
 def transpose(matrix):
     return [list(col) for col in zip(*matrix)]
-
-
-def unknot_surgery(coeff):
-    return SurgeryDiagram(
-        (LegendrianComponent("U", -1, 0, ContactCoefficient.parse(coeff)),), ((0,),))
 
 
 class TestEulerClass:
@@ -176,43 +163,6 @@ class TestPm1Formula:
         assert d3_report(SurgeryDiagram((), ())).d3 == Fraction(-1, 2)
 
 
-class TestClosedFormAgainstExpansion:
-    def test_randomized_equality(self):
-        rng = random.Random(123)
-        checked = 0
-        while checked < 80:
-            diagram = random_diagram(rng)
-            closed = d3_report(diagram).d3
-            expanded = d3_via_expansion(diagram)
-            assert (closed is None) == (expanded is None)
-            if closed is not None:
-                assert closed == expanded
-                checked += 1
-
-    def test_singular_diagrams(self):
-        # det Q = 0, so b is not unique: the closed form, its value on the
-        # expansion and the oracle's +-1 formula each pick their own b.
-        rng = random.Random(124)
-        checked = 0
-        while checked < 30:
-            diagram = singular_diagram(rng)
-            closed = d3_report(diagram).d3
-            assert closed == d3_via_expansion(diagram)
-            if closed is None:
-                continue
-            assert closed == oracle_d3_pm1(expand_to_pm1(diagram))
-            form = linking_matrix(diagram).form
-            assert minimal_order_solve(form, [c.rot for c in diagram.components]).kernel_basis
-            if any(c.coeff.magnitude > 1 for c in diagram.components) and diagram.k > 1:
-                checked += 1
-
-    def test_torsion_flag_stable_under_expansion(self):
-        rng = random.Random(321)
-        for _ in range(60):
-            diagram = random_diagram(rng)
-            assert d3_report(diagram).torsion == d3_report(expand_to_pm1(diagram)).torsion
-
-
 class TestSolutionChoiceIndependence:
     def test_pairing_insensitive_to_kernel_shifts(self):
         # Q = [[1, 1], [1, 1]] is singular; rot = (1, 1) is solvable
@@ -223,7 +173,8 @@ class TestSolutionChoiceIndependence:
         q = linking_matrix(diagram)
         matrix = q.entries
         rot = [c.rot for c in diagram.components]
-        particular, kernel = rational_solution(q.form, rot)
+        solved = minimal_order_solve(q.form, rot)
+        particular, kernel = [Fraction(x, solved.order) for x in solved.particular], solved.kernel_basis
         assert kernel
         weights = [c.coeff.magnitude * c.rot for c in diagram.components]
         base = sum(w * b for w, b in zip(weights, particular))
@@ -231,24 +182,6 @@ class TestSolutionChoiceIndependence:
             other = [b + Fraction(5, 3) * x for b, x in zip(particular, v)]
             assert [sum(q * o for q, o in zip(row, other)) for row in matrix] == rot
             assert sum(w * o for w, o in zip(weights, other)) == base
-
-    def test_random_singular_diagrams(self):
-        rng = random.Random(777)
-        checked = 0
-        while checked < 40:
-            diagram = random_diagram(rng)
-            rot = [c.rot for c in diagram.components]
-            solved = rational_solution(linking_matrix(diagram).form, rot)
-            if solved is None or not solved[1]:
-                continue
-            particular, kernel = solved
-            weights = [c.coeff.magnitude * c.rot for c in diagram.components]
-            base = sum(w * b for w, b in zip(weights, particular))
-            for v in kernel:
-                other = [b + 2 * x for b, x in zip(particular, v)]
-                assert sum(w * o for w, o in zip(weights, other)) == base
-            assert d3_report(diagram).d3 == d3_via_expansion(diagram)
-            checked += 1
 
 
 def test_b_depends_on_q_and_rot_alone():

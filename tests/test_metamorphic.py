@@ -56,6 +56,7 @@ from helpers import (
     dense_diagram,
     fraction_det,
     front_diagram,
+    legendrian,
     random_diagram,
     singular_diagram,
     t_linking_matrix,
@@ -67,18 +68,13 @@ DRAWS = 300
 SINGULAR_DRAWS = 200
 
 
-def _legendrian(rng, tb_range=(-3, 3), rot_bound=3):
-    tb = rng.randint(*tb_range)
-    return tb, rng.choice([r for r in range(-rot_bound, rot_bound + 1) if (tb + r) % 2])
-
-
 def random_case(rng, singular=False, k_max=3, m_max=4):
     """A random diagram (k <= k_max, m <= m_max), singular when asked, with
     a Legendrian companion K and a transverse companion T, both with random
     data."""
     draw = singular_diagram if singular else random_diagram
     diagram = draw(rng, k_max=k_max, m_max=m_max, with_knot=True)
-    tb, rot = _legendrian(rng)
+    tb, rot = legendrian(rng)
     lk = [tuple(rng.randint(-2, 2) for _ in range(diagram.k)) for _ in range(2)]
     knots = (CompanionKnot("K", "legendrian", lk[0], tb=tb, rot=rot),
              CompanionKnot("T", "transverse", lk[1], sl=rng.choice((-3, -1, 1)),

@@ -33,18 +33,14 @@ from helpers import (
     poly_mul,
     random_diagram,
     random_int_matrix,
-    rational_gauss_solve,
+    rational_inverse,
     singular_diagram,
     smith_oracle,
     t_mat_mul,
+    unknot_surgery,
 )
 
 DIAGRAMS = CORPUS / "diagrams"
-
-
-def single(coeff, tb=-1, rot=0):
-    return SurgeryDiagram(
-        (LegendrianComponent("L", tb, rot, ContactCoefficient.parse(coeff)),), ((0,),))
 
 
 def pair(coeffs, tbs, rots, l12, knot_lk=None):
@@ -63,8 +59,8 @@ class TestLinkingMatrix:
         assert linking_matrix(diagram).entries == ((0, 1), (1, -2))
 
     def test_single_unknot(self):
-        assert linking_matrix(single("+1")).entries == ((0,),)
-        assert linking_matrix(single("-1/2")).entries == ((-3,),)
+        assert linking_matrix(unknot_surgery("+1")).entries == ((0,),)
+        assert linking_matrix(unknot_surgery("-1/2")).entries == ((-3,),)
 
     def test_weighted_symmetry(self):
         # diag(m) * Q is symmetric even when Q itself is not
@@ -88,12 +84,12 @@ class TestHomology:
         assert hom == ((), 0)
 
     def test_order_two(self):
-        hom = homology(linking_matrix(single("-1")))  # topological -2 surgery
+        hom = homology(linking_matrix(unknot_surgery("-1")))  # topological -2 surgery
         assert hom.invariant_factors == (2,)
         assert hom.free_rank == 0
 
     def test_free_part(self):
-        hom = homology(linking_matrix(single("+1")))  # topological 0 surgery
+        hom = homology(linking_matrix(unknot_surgery("+1")))  # topological 0 surgery
         assert hom.invariant_factors == ()
         assert hom.free_rank == 1
 
@@ -110,33 +106,52 @@ def chain_diagram(rng: random.Random, k, m_max=3) -> SurgeryDiagram:
     return SurgeryDiagram(components, linking)
 
 
+def check_homology(q):
+    """H_1 of Q against the Smith form with transforms and, as both run
+    `_smith`, against `smith_oracle`, which shares no code with it.  When
+    det Q != 0, H_1 is finite of order |det Q|, and its exponent, the
+    largest invariant factor, is the least common denominator of Q^-1:
+    oracles that need no Smith form.  Returns whether det Q != 0."""
+    snf = smith_normal_form(q.entries)
+    hom = homology(q)
+    assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
+    assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
+    assert q.form == echelon_form(q.entries)
+    oracle = smith_oracle(q.entries)
+    assert oracle is None or snf.diagonal == oracle
+    det = fraction_det(q.entries)
+    if det == 0:
+        return False
+    assert hom.free_rank == 0
+    assert prod(hom.invariant_factors) == abs(det)
+    inverse = rational_inverse(q.entries)
+    assert max(hom.invariant_factors, default=1) == lcm(*(x.denominator for row in inverse for x in row))
+    return True
+
+
+def bare(entries):
+    """The presentation of a matrix Q with unit magnitudes."""
+    entries = tuple(map(tuple, entries))
+    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), echelon_form(entries))
+
+
 class TestHomologyAgainstSmithForm:
-    """homology reads the invariant factors off the echelon rows of one
-    echelon form of [Q^T | I]; the Smith normal form with transforms is an
-    oracle, and as both run `_smith`, so are `smith_oracle`'s determinantal
-    divisors (k <= 5) and prime powers (diagonal Q), which share no code
-    with it.  2029 matrices, and the non-dividing family, in all."""
-
-    @staticmethod
-    def check(q):
-        snf = smith_normal_form(q.entries)
-        hom = homology(q)
-        assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
-        assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
-        assert q.form == echelon_form(q.entries)
-        oracle = smith_oracle(q.entries)
-        assert oracle is None or snf.diagonal == oracle
-
-    @staticmethod
-    def bare(entries):
-        entries = tuple(map(tuple, entries))
-        return GeneralizedLinkingMatrix(entries, (1,) * len(entries), echelon_form(entries))
+    """homology reads H_1 off the echelon rows of one echelon form of
+    [Q^T | I]; `check_homology` holds it against every oracle on 2083
+    matrices, and on the non-dividing family."""
 
     def test_dense(self):
+        # k <= 7, then more k <= 4 until each such k has 160 draws
         rng = random.Random(1201)
+        draws, small_nonsingular = [0] * 8, 0
         for _ in range(1000):
             k = rng.randint(1, 7)
-            self.check(self.bare(random_int_matrix(rng, k, k)))
+            draws[k] += 1
+            small_nonsingular += check_homology(bare(random_int_matrix(rng, k, k))) and k <= 4
+        for k in range(1, 5):
+            for _ in range(160 - draws[k]):
+                small_nonsingular += check_homology(bare(random_int_matrix(rng, k, k)))
+        assert small_nonsingular >= 600
 
     def test_low_rank_products(self):
         rng = random.Random(1202)
@@ -144,28 +159,28 @@ class TestHomologyAgainstSmithForm:
             k = rng.randint(1, 7)
             r = rng.randint(0, k - 1)
             a, b = random_int_matrix(rng, k, r, -3, 3), random_int_matrix(rng, r, k, -3, 3)
-            self.check(self.bare(t_mat_mul(a, b) if r else [[0] * k for _ in range(k)]))
+            check_homology(bare(t_mat_mul(a, b) if r else [[0] * k for _ in range(k)]))
 
     def test_singular_diagrams(self):
         rng = random.Random(1203)
         for _ in range(200):
-            self.check(linking_matrix(singular_diagram(rng)))
+            check_homology(linking_matrix(singular_diagram(rng)))
 
     def test_zero_and_empty(self):
         for k in range(1, 8):
-            q = self.bare([[0] * k for _ in range(k)])
-            self.check(q)
+            q = bare([[0] * k for _ in range(k)])
+            check_homology(q)
             assert homology(q) == ((), k)
         q = linking_matrix(load_diagram(str(DIAGRAMS / "empty.json")))
         assert q.k == 0
-        self.check(q)
+        check_homology(q)
         assert homology(q) == ((), 0)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 29, 50])
     def test_chains(self, k):
         rng = random.Random(f"chain:{k}")
         for _ in range(3):
-            self.check(linking_matrix(chain_diagram(rng, k)))
+            check_homology(linking_matrix(chain_diagram(rng, k)))
 
     def test_non_dividing_family(self):
         # Diagonals the passes reach with many pairs d_i, d_j where d_i does not
@@ -177,51 +192,31 @@ class TestHomologyAgainstSmithForm:
             check_snf_invariants(matrix, snf)
             assert snf.diagonal == smith_diagonal(matrix) == diagonal
             if len(matrix) == len(matrix[0]):
-                self.check(self.bare(matrix))
+                check_homology(bare(matrix))
         for k in (10, 20, 40):
             entries = [rng.choice(NON_DIVIDING_ENTRIES) for _ in range(k)]
             matrix = [[entries[i] if i == j else 0 for j in range(k)] for i in range(k)]
-            self.check(self.bare(matrix))
+            check_homology(bare(matrix))
             assert smith_diagonal(matrix) == diagonal_factors(entries, k)
 
 
 class TestHomologyWithoutSmithForm:
-    """On a nonsingular Q, H_1 = Z^k / Q Z^k is finite of order |det Q|, and
-    its exponent, the largest invariant factor, is the least common
-    denominator of Q^-1: an oracle that shares no code with the Smith form.
-    Each test counts the nonsingular draws it checks, 2000 or more in all."""
-
-    @staticmethod
-    def check(q):
-        det = fraction_det(q.entries)
-        if det == 0:
-            return 0
-        hom = homology(q)
-        assert hom.free_rank == 0
-        assert prod(hom.invariant_factors) == abs(det)
-        columns = [rational_gauss_solve(q.entries, [int(i == j) for i in range(q.k)]) for j in range(q.k)]
-        assert max(hom.invariant_factors, default=1) == lcm(*(x.denominator for c in columns for x in c))
-        return 1
+    """Families with det Q != 0 on most draws, where `check_homology` also
+    applies the oracles that need no Smith form: 1400 or more in all."""
 
     def test_random_diagrams(self):
         rng = random.Random(1211)
-        assert sum(self.check(linking_matrix(random_diagram(rng))) for _ in range(1400)) >= 1350
-
-    def test_random_matrices(self):
-        rng = random.Random(1212)
-        bare = TestHomologyAgainstSmithForm.bare
-        assert sum(self.check(bare(random_int_matrix(rng, k, k))) for k in range(1, 5) for _ in range(160)) >= 600
+        assert sum(check_homology(linking_matrix(random_diagram(rng))) for _ in range(1400)) >= 1350
 
     def test_dense(self):
-        # rational_gauss_solve takes k^4 steps for Q^-1, so few large k
         rng = random.Random(1213)
         ks = [k for k in range(2, 11) for _ in range(3)] + [12, 16, 20]
-        assert sum(self.check(linking_matrix(dense_diagram(rng, k))) for k in ks) >= 28
+        assert sum(check_homology(linking_matrix(dense_diagram(rng, k))) for k in ks) >= 28
 
     def test_chains(self):
         rng = random.Random(1214)
         ks = [k for k in range(2, 13) for _ in range(2)] + [16, 20]
-        assert sum(self.check(linking_matrix(chain_diagram(rng, k))) for k in ks) >= 24
+        assert sum(check_homology(linking_matrix(chain_diagram(rng, k))) for k in ks) >= 24
 
 
 def continuant(a):
@@ -268,7 +263,7 @@ class TestExpansion:
         assert expand_to_pm1(diagram) is diagram
 
     def test_negative_half(self):
-        expanded = expand_to_pm1(single("-1/2"))
+        expanded = expand_to_pm1(unknot_surgery("-1/2"))
         assert expanded.k == 2
         assert [c.tb for c in expanded.components] == [-1, -1]
         assert all(str(c.coeff) == "-1" for c in expanded.components)
@@ -276,17 +271,17 @@ class TestExpansion:
         assert linking_matrix(expanded).entries == ((-2, -1), (-1, -2))
 
     def test_positive_half(self):
-        expanded = expand_to_pm1(single("+1/2"))
+        expanded = expand_to_pm1(unknot_surgery("+1/2"))
         assert linking_matrix(expanded).entries == ((0, -1), (-1, 0))
 
     def test_copy_count_and_names(self):
-        expanded = expand_to_pm1(single("+1/3"))
-        assert [c.name for c in expanded.components] == ["L.1", "L.2", "L.3"]
+        expanded = expand_to_pm1(unknot_surgery("+1/3"))
+        assert [c.name for c in expanded.components] == ["U.1", "U.2", "U.3"]
 
     def test_expansion_limit(self):
-        assert expand_to_pm1(single(f"-1/{EXPANSION_LIMIT}")).k == EXPANSION_LIMIT
+        assert expand_to_pm1(unknot_surgery(f"-1/{EXPANSION_LIMIT}")).k == EXPANSION_LIMIT
         with pytest.raises(ValueError, match=f"more than the limit of {EXPANSION_LIMIT}"):
-            expand_to_pm1(single(f"-1/{EXPANSION_LIMIT + 1}"))
+            expand_to_pm1(unknot_surgery(f"-1/{EXPANSION_LIMIT + 1}"))
 
     def test_knot_lk_repeats(self):
         diagram = SurgeryDiagram(
@@ -337,9 +332,9 @@ class TestExpansion:
 
 class TestSignature:
     def test_unknot_family(self):
-        assert diagram_signature(linking_matrix(single("+1"))) == 0
-        assert diagram_signature(linking_matrix(single("+1/2"))) == -1
-        assert diagram_signature(linking_matrix(single("-1/2"))) == -1
+        assert diagram_signature(linking_matrix(unknot_surgery("+1"))) == 0
+        assert diagram_signature(linking_matrix(unknot_surgery("+1/2"))) == -1
+        assert diagram_signature(linking_matrix(unknot_surgery("-1/2"))) == -1
 
     def test_pm1_reduces_to_symmetric_signature(self):
         diagram = pair(("+1", "-1"), (-1, -2), (0, 1), -1)
