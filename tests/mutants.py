@@ -91,6 +91,37 @@ CATALOGUE = [
            (EXACTLIN + "TestSignature::test_against_fraction_elimination_and_char_poly[uniform]",)),
     Mutant("src/surgeon/surgery.py", "tuple(d for d in diagonal if d > 1)", "tuple(d for d in diagonal if d > 2)",
            (SMITH_HOMOLOGY + "test_dense",)),
+    # the worked examples, each killed by its criterion
+    Mutant("src/surgeon/invariants.py", "return not self.seifert_shifts", "return False",
+           (ACCEPTANCE + "test_homology_sphere_files",)),
+    Mutant("src/surgeon/d3.py", "for x in solved.particular)", "for x in solved.particular[::-1])",
+           (ACCEPTANCE + "test_homology_sphere_files",)),
+    # the solve reports an order where v has no rational preimage
+    Mutant("src/surgeon/exactlin.py", "if any(vector[j] * den", "if False and any(vector[j] * den",
+           (ACCEPTANCE + "test_single_component_closed_forms",)),
+    # tb pairs the solution with rot instead of lk
+    Mutant("src/surgeon/invariants.py", "pairing(a, knot.lk), pairing(a, rots)", "pairing(a, rots), pairing(a, rots)",
+           (ACCEPTANCE + "test_meridian_twist_files",)),
+    Mutant("src/surgeon/invariants.py", "+ knot.transverse_sign * d_rot", "- knot.transverse_sign * d_rot",
+           (ACCEPTANCE + "test_self_linking_files",)),
+    Mutant("src/surgeon/surgery.py", "EXPANSION_LIMIT = 128", "EXPANSION_LIMIT = 63",
+           (ACCEPTANCE + "test_d3_unknot_family",)),
+    Mutant("src/surgeon/d3.py", "diagram_signature(q) - Fraction(1, 2)", "diagram_signature(q) - Fraction(1, 4)",
+           (ACCEPTANCE + "test_d3_unknot_family",)),
+    # copies of one component link with its framing tb + s instead of tb
+    Mutant("src/surgeon/surgery.py", "diagram.components[i].tb if i == j",
+           "diagram.components[i].tb + diagram.components[i].coeff.sign if i == j",
+           (ACCEPTANCE + "test_d3_unknot_family",)),
+    # sigma(Q) from Q instead of diag(m) * Q
+    Mutant("src/surgeon/surgery.py", "weighted = [[m * x", "weighted = [[x",
+           (ACCEPTANCE + "test_signature_relation_randomized",)),
+    # the kernel shifts pair with lk instead of rot
+    Mutant("src/surgeon/invariants.py", "pairing(v, rots)", "pairing(v, knot.lk)",
+           (ACCEPTANCE + "test_solution_independence",)),
+    # the kernel basis takes in the last image row
+    Mutant("src/surgeon/exactlin.py", "for r in form[rank:])", "for r in form[rank - 1:])",
+           (ACCEPTANCE + "test_solution_independence",)),
+    Mutant("src/surgeon/fronts.py", "writhe[a] += sign", "writhe[a] -= sign", (ACCEPTANCE + "test_front_anchors",)),
 ]
 
 

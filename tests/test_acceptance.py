@@ -77,37 +77,54 @@ def test_homology_sphere_files():
     for rot2, expected in ((-2, 2), (0, 0), (2, -2)):
         suffix = str(rot2).replace("-", "minus")
         diagram = load_diagram(str(DIAGRAMS / f"trefoil_chain_rot{suffix}.json"))
-        assert linking_matrix(diagram).entries == ((0, 1), (1, -2))
+        q = linking_matrix(diagram)
+        assert q.entries == ((0, 1), (1, -2))
         report = invariant_report(diagram, "L0")
         assert report.order == 1
         assert report.solution == (3, 1)
         assert report.rot == expected
-        assert homology(linking_matrix(diagram)) == ((), 0)
+        assert report.unique_class
+        assert homology(q) == ((), 0)
+        # Q is invertible, so e is torsion and Q*b = rot
+        euler = d3_report(diagram)
+        assert euler.torsion
+        assert t_mat_vec(q.entries, euler.b) == [0, rot2]
 
 
 @criterion(2, "single-component closed forms, integral and rational order")
 def test_single_component_closed_forms():
+    def rational(tb_L, rot_L, m, s, lk):
+        """Checks the quotient formulas on Q = [m*tb_L + s]; returns whether
+        the order is above 1."""
+        knot = CompanionKnot("K", "legendrian", (lk,), tb=2, rot=-1)
+        diagram = SurgeryDiagram(
+            (LegendrianComponent("L", tb_L, rot_L, ContactCoefficient(s, m)),), ((0,),), (knot,))
+        report = invariant_report(diagram, "K")
+        p = m * tb_L + s
+        if p == 0:
+            # Q = [0]: lk has a rational preimage only when it is 0
+            assert (report.order is None) == (lk != 0)
+            return False
+        assert report.rot == -1 - Fraction(m * lk * rot_L, p)
+        assert report.tb == 2 - Fraction(m * lk * lk, p)
+        expected_d = 1 if lk == 0 else abs(p) // gcd(abs(p), abs(lk))
+        assert report.order == expected_d
+        if expected_d == 1:
+            assert report.tb.denominator == report.rot.denominator == 1
+        if lk == 0:
+            assert report.solution == (0,)
+        return expected_d > 1
+
     rational_cases = 0
     for tb_L in range(-3, 4):
         for rot_L in (r for r in range(-3, 4) if (tb_L + r) % 2 == 1):
             for m in range(1, 5):
                 for s in (1, -1):
-                    p = m * tb_L + s
-                    if p == 0:
-                        continue
                     for lk in range(-3, 4):
-                        knot = CompanionKnot("K", "legendrian", (lk,), tb=2, rot=-1)
-                        diagram = SurgeryDiagram(
-                            (LegendrianComponent("L", tb_L, rot_L, ContactCoefficient(s, m)),),
-                            ((0,),), (knot,))
-                        report = invariant_report(diagram, "K")
-                        assert report.rot == -1 - Fraction(m * lk * rot_L, p)
-                        assert report.tb == 2 - Fraction(m * lk * lk, p)
-                        expected_d = 1 if lk == 0 else abs(p) // gcd(abs(p), abs(lk))
-                        assert report.order == expected_d
-                        if expected_d > 1:
-                            rational_cases += 1
+                        rational_cases += rational(tb_L, rot_L, m, s, lk)
     assert rational_cases > 100
+    # a linking number outside the sweep
+    assert rational(-3, 2, 4, -1, 5)
 
 
 @criterion(3, "meridian surgery: a=(2,-1), tb drops by 1, rot shifts by -+1")
@@ -127,10 +144,11 @@ def test_meridian_twist_files():
 
 @criterion(4, "transverse sl = 1 for both orientations, Legendrian cross-check")
 def test_self_linking_files():
-    for tag in ("positive", "negative"):
+    for tag, solution in (("positive", (1,)), ("negative", (-1,))):
         diagram = load_diagram(str(DIAGRAMS / f"overtwisted_sphere_{tag}.json"))
         report = invariant_report(diagram, "T0")
         assert report.order == 1
+        assert report.solution == solution
         assert report.sl == 1
     diagram = load_diagram(str(DIAGRAMS / "overtwisted_sphere_positive.json"))
     legendrian = invariant_report(diagram, "L0")
@@ -143,51 +161,68 @@ def test_self_linking_files():
 
 @criterion(5, "d3 of 1/n surgeries on the standard unknot, both methods")
 def test_d3_unknot_family():
-    assert d3_report(unknot_surgery("+1")).d3 == 0
-    assert oracle_d3_pm1(expand_to_pm1(unknot_surgery("+1"))) == 0
+    def check(coeff, expected):
+        """The closed form and its value on the expansion; returns the expansion."""
+        diagram = unknot_surgery(coeff)
+        assert d3_report(diagram).d3 == expected
+        assert d3_via_expansion(diagram) == expected
+        return expand_to_pm1(diagram)
+
+    assert oracle_d3_pm1(check("+1", 0)) == 0
     for n in (2, 3, 4, 5):
         expected = 1 - Fraction(n, 4)
-        assert d3_report(unknot_surgery(f"+1/{n}")).d3 == expected
-        assert oracle_d3_pm1(expand_to_pm1(unknot_surgery(f"+1/{n}"))) == expected
+        assert oracle_d3_pm1(check(f"+1/{n}", expected)) == expected
     for n in (1, 2, 3):
         expected = Fraction(n, 4) - Fraction(1, 2)
-        coeff = "-1" if n == 1 else f"-1/{n}"
-        assert d3_report(unknot_surgery(coeff)).d3 == expected
-        assert oracle_d3_pm1(expand_to_pm1(unknot_surgery(coeff))) == expected
+        assert oracle_d3_pm1(check("-1" if n == 1 else f"-1/{n}", expected)) == expected
+    # n = 64, without the oracle's Fraction elimination on 64 x 64
+    check("+1/64", -15)
+    check("-1/64", Fraction(31, 2))
+    # the expansions at +-1/2: copies of U link with tb(U) = -1
+    assert linking_matrix(expand_to_pm1(unknot_surgery("+1/2"))).entries == ((0, -1), (-1, 0))
+    assert linking_matrix(expand_to_pm1(unknot_surgery("-1/2"))).entries == ((-2, -1), (-1, -2))
+    # the empty diagram is S^3 with its standard tight structure
+    empty = load_diagram(str(DIAGRAMS / "empty.json"))
+    assert d3_report(empty).d3 == oracle_d3_pm1(empty) == Fraction(-1, 2)
 
 
-def _torsion_corpus(count=500, seed=170):
-    rng = random.Random(seed)
-    corpus = []
-    while len(corpus) < count:
+@functools.cache
+def _seed_170_draws():
+    """The random draws of seed 170 (k <= 3, m <= 4) up to the 500th whose
+    Euler class is torsion, each with its d3 report, and the generator's
+    state after them.  Criteria 6 and 7 share them."""
+    rng, draws, torsion = random.Random(170), [], 0
+    while torsion < 500:
         diagram = random_diagram(rng, k_max=3, m_max=4)
-        if d3_report(diagram).torsion:
-            corpus.append(diagram)
-    return corpus
+        draws.append((diagram, d3_report(diagram)))
+        torsion += draws[-1][1].torsion
+    return tuple(draws), rng.getstate()
 
 
 @criterion(6, "closed-form d3 equals the +-1 formula on 500 random and 100 singular torsion diagrams")
 def test_d3_equality_randomized():
-    def check(diagram):
-        """The torsion flag and d3 equal their values on the expansion, and
-        d3 the oracle's there; returns the flag."""
-        report, expanded = d3_report(diagram), expand_to_pm1(diagram)
+    def check(diagram, report):
+        """The torsion flag and d3 of the diagram's report equal their values
+        on the expansion, and d3 the oracle's there; returns the flag."""
+        expanded = expand_to_pm1(diagram)
         on_expansion = d3_report(expanded)
         assert (report.torsion, report.d3) == (on_expansion.torsion, on_expansion.d3)
         if report.torsion:
             assert report.d3 == oracle_d3_pm1(expanded)
         return report.torsion
 
-    # the draws of _torsion_corpus(), the non-torsion ones checked too
-    rng, torsion = random.Random(170), 0
-    while torsion < 500:
-        torsion += check(random_diagram(rng, k_max=3, m_max=4))
+    # every draw of seed 170, the non-torsion ones checked too
+    draws, state = _seed_170_draws()
+    for diagram, report in draws:
+        check(diagram, report)
     # det Q = 0, so b is not unique: the closed form, its value on the
     # expansion and the oracle each pick their own b
+    rng = random.Random()
+    rng.setstate(state)
     singular = several = 0
     while singular < 100:
         diagram = singular_diagram(rng)
-        if check(diagram):
+        if check(diagram, d3_report(diagram)):
             form = linking_matrix(diagram).form
             assert minimal_order_solve(form, [c.rot for c in diagram.components]).kernel_basis
             singular += 1
@@ -197,7 +232,9 @@ def test_d3_equality_randomized():
 
 @criterion(7, "signature relation and characteristic polynomial lift on the same corpus")
 def test_signature_relation_randomized():
-    for diagram in _torsion_corpus():
+    for diagram, report in _seed_170_draws()[0]:
+        if not report.torsion:
+            continue
         q = linking_matrix(diagram)
         k = q.k
         chi_q = char_poly(q.entries)
@@ -264,29 +301,36 @@ def test_solution_independence():
             ((0, 1), (1, 0)),
             (CompanionKnot("K", "legendrian", lk_vector, tb=-1, rot=0),))
 
-    # 50 random draws with a kernel, where tb_M from a shifted solution must
-    # be the printed one; the +-1 invertible draws met on the way compare tb
-    # with the oracle.
-    constructed = [singular((1, 1), (1, 1)), singular((1, -1), (2, 2)),
-                   singular((-3, 1), (0, 0))]
+    # Q = [[1, 1], [1, 1]], whose kernel is spanned by (1, -1)
+    ones, mixed = singular((1, 1), (1, 1)), singular((1, -1), (2, 2))
+    # every solution of Q*a = (1, 1) is (1 + t, -t), so tb_M = -1 - 1;
+    # rot = (1, 1) = Q*(1, 0), so e is torsion and no shift moves rot_M
+    report = invariant_report(ones, "K")
+    assert report.tb == -2
+    assert report.seifert_shifts
+    assert all(shift == 0 for _, shift in report.seifert_shifts)
+    assert d3_report(ones).torsion
+    # at rot = (1, -1) the kernel vector shifts rot_M
+    report = invariant_report(mixed, "K")
+    assert not report.unique_class
+    (vector, shift), = report.seifert_shifts
+    assert shift == vector[0] - vector[1] != 0
+
+    # 50 singular draws where Q*a = d*lk is solvable, so tb_M from a
+    # shifted solution must be the printed one
+    constructed = [ones, mixed, singular((-3, 1), (0, 0))]
     rng = random.Random(5150)
-    compared_tb = 0
     while len(constructed) < 53:
-        diagram = random_diagram(rng, with_knot=True)
-        solution = minimal_order_solve(linking_matrix(diagram).form, diagram.knots[0].lk)
-        if solution is not None and solution.kernel_basis:
+        diagram = singular_diagram(rng, with_knot=True)
+        if minimal_order_solve(linking_matrix(diagram).form, diagram.knots[0].lk) is not None:
             constructed.append(diagram)
-        elif (solution is not None and compared_tb < 100
-              and all(c.coeff.magnitude == 1 for c in diagram.components)
-              and fraction_det(linking_matrix(diagram).entries)):
-            assert invariant_report(diagram, "K").tb == oracle_invariants(diagram, "K")[1]
-            compared_tb += 1
 
     def pairing_ignores_the_solution(diagram):
-        """Where Q*b = rot has a kernel, every b pairs alike with the weights
-        m_i rot_i, and d3 equals its value on the expansion."""
+        """Where Q*b = rot has a kernel, every b solves it and pairs alike
+        with the weights m_i rot_i, and d3 equals its value on the expansion."""
         rot = [c.rot for c in diagram.components]
-        solved = minimal_order_solve(linking_matrix(diagram).form, rot)
+        q = linking_matrix(diagram)
+        solved = minimal_order_solve(q.form, rot)
         if solved is None or not solved.kernel_basis:
             return False
         particular = [Fraction(x, solved.order) for x in solved.particular]
@@ -294,6 +338,7 @@ def test_solution_independence():
         base = sum(w * b for w, b in zip(weights, particular))
         for v in solved.kernel_basis:
             other = [b + Fraction(7, 2) * x for b, x in zip(particular, v)]
+            assert t_mat_vec(q.entries, other) == rot
             assert sum(w * o for w, o in zip(weights, other)) == base
         assert d3_report(diagram).d3 == d3_via_expansion(diagram)
         return True
@@ -313,11 +358,19 @@ def test_solution_independence():
                     report.order)
                 exercised_tb += 1
         exercised_pairing += pairing_ignores_the_solution(diagram)
-    # then random draws without a companion, until 40 diagrams had a kernel
+    # then singular draws without a companion, until 40 diagrams had a kernel
     while exercised_pairing < 40:
-        exercised_pairing += pairing_ignores_the_solution(random_diagram(rng))
+        exercised_pairing += pairing_ignores_the_solution(singular_diagram(rng))
     assert exercised_tb >= 53
-    assert compared_tb == 100
+
+    # tb against the oracle on 100 invertible +-1 draws
+    rng, compared_tb = random.Random(5150), 0
+    while compared_tb < 100:
+        diagram = random_diagram(rng, with_knot=True)
+        if (all(c.coeff.magnitude == 1 for c in diagram.components)
+                and fraction_det(linking_matrix(diagram).entries)):
+            assert invariant_report(diagram, "K").tb == oracle_invariants(diagram, "K")[1]
+            compared_tb += 1
 
 
 @criterion(10, "front anchors and emit-diagram round trip")
@@ -326,9 +379,10 @@ def test_front_anchors(tmp_path, capsys):
     assert (unknot.tb, unknot.rot) == ((-1,), (0,))
 
     trefoil = classical_invariants(parse_front((FRONTS / "trefoil_max_tb.front").read_text()))
-    assert trefoil.tb == (1,)
+    assert (trefoil.tb, trefoil.rot) == ((1,), (0,))
 
     split = classical_invariants(parse_front((FRONTS / "split_unknots.front").read_text()))
+    assert split.tb == (-1, -1)
     assert split.linking == ((0, 0), (0, 0))
 
     emitted = tmp_path / "demo.json"

