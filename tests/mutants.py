@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-ACCEPTANCE, CLI, EXACTLIN, SURGERY = (f"tests/test_{n}.py::" for n in ("acceptance", "cli", "exactlin", "surgery"))
+ACCEPTANCE, CLI, D3, EXACTLIN, SURGERY = (f"tests/test_{n}.py::" for n in ("acceptance", "cli", "d3", "exactlin", "surgery"))
 SMITH_HOMOLOGY = SURGERY + "TestHomologyAgainstSmithForm::"
 SOLVE_RESULT = "    return SolveResult(den // g, tuple(a), kernel)"
 
@@ -107,11 +107,12 @@ CATALOGUE = [
     Mutant("src/surgeon/surgery.py", "EXPANSION_LIMIT = 128", "EXPANSION_LIMIT = 63",
            (ACCEPTANCE + "test_d3_unknot_family",)),
     Mutant("src/surgeon/d3.py", "diagram_signature(q) - Fraction(1, 2)", "diagram_signature(q) - Fraction(1, 4)",
-           (ACCEPTANCE + "test_d3_unknot_family",)),
+           (ACCEPTANCE + "test_d3_unknot_family", D3 + "TestPm1Formula::test_empty_diagram_is_standard_tight_sphere")),
     # copies of one component link with its framing tb + s instead of tb
     Mutant("src/surgeon/surgery.py", "diagram.components[i].tb if i == j",
            "diagram.components[i].tb + diagram.components[i].coeff.sign if i == j",
-           (ACCEPTANCE + "test_d3_unknot_family",)),
+           (ACCEPTANCE + "test_d3_unknot_family", D3 + "TestPm1Formula::test_expanded_plus_half",
+            D3 + "TestPm1Formula::test_expanded_minus_half")),
     # sigma(Q) from Q instead of diag(m) * Q
     Mutant("src/surgeon/surgery.py", "weighted = [[m * x", "weighted = [[x",
            (ACCEPTANCE + "test_signature_relation_randomized",)),

@@ -16,6 +16,7 @@ from surgeon import (
 from helpers import (
     d3_via_expansion,
     fraction_det,
+    oracle_d3_pm1,
     random_diagram,
     rational_gauss_solve,
     singular_diagram,
@@ -105,6 +106,32 @@ class TestUnknotFamily:
         n = 10 ** 6
         assert d3_report(unknot_surgery(f"+1/{n}")).d3 == 1 - Fraction(n, 4)
         assert d3_report(unknot_surgery(f"-1/{n}")).d3 == Fraction(n, 4) - Fraction(1, 2)
+
+
+class TestPm1Formula:
+    """The classical +-1 formula, by the independent oracle, against the
+    closed form, which must reduce to it when every m_i = 1."""
+
+    def test_plus_one_unknot(self):
+        # Q = [0], sigma = 0, k = 1, one +1 coefficient
+        assert oracle_d3_pm1(unknot_surgery("+1")) == 0
+        assert d3_report(unknot_surgery("+1")).d3 == 0
+
+    def test_expanded_plus_half(self):
+        expanded = expand_to_pm1(unknot_surgery("+1/2"))
+        assert linking_matrix(expanded).entries == ((0, -1), (-1, 0))
+        assert oracle_d3_pm1(expanded) == Fraction(1, 2)
+        assert d3_report(expanded).d3 == Fraction(1, 2)
+
+    def test_expanded_minus_half(self):
+        expanded = expand_to_pm1(unknot_surgery("-1/2"))
+        assert linking_matrix(expanded).entries == ((-2, -1), (-1, -2))
+        assert oracle_d3_pm1(expanded) == 0
+        assert d3_report(expanded).d3 == 0
+
+    def test_empty_diagram_is_standard_tight_sphere(self):
+        assert oracle_d3_pm1(SurgeryDiagram((), ())) == Fraction(-1, 2)
+        assert d3_report(SurgeryDiagram((), ())).d3 == Fraction(-1, 2)
 
 
 def test_b_depends_on_q_and_rot_alone():
