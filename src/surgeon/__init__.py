@@ -28,7 +28,7 @@ _EXPORTS = {
     "diagrams": ("CompanionKnot", "ContactCoefficient", "Diagnostic", "LegendrianComponent",
                  "SurgeryDiagram", "topological_coefficient", "validate"),
     "d3": ("D3Report", "d3_report"),
-    "exactlin": ("SNFDecomposition", "SolveResult", "minimal_order_solve", "smith_normal_form",
+    "exactlin": ("SNFDecomposition", "SolveResult", "Sweep", "minimal_order_solve", "smith_normal_form",
                  "symmetric_signature"),
     "fronts": ("FrontDocument", "FrontError", "FrontInvariants", "classical_invariants",
                "parse_front", "to_diagram"),

@@ -11,8 +11,9 @@ formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 - 1/2 + q with q the number of +1 coefficients.  The closed form never
 expands (sigma(Q) comes from diag(m)*Q).  `d3_report` reads the Euler
 class, b, d3 and H_1 off one presentation of the diagram: one linking
-matrix, one echelon form, one solve, one signature and one Smith
-diagonal; b = a / d for the solution of Q*a = d*rot by `minimal_order_solve`.
+matrix, whose one sweep of diag(m)*Q gives sigma(Q) and, when det Q != 0,
+the solve (else its echelon form does), and one Smith diagonal; b = a / d
+for the solution of Q*a = d*rot by `surgery.solve`.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome
 and is reported as None, not raised.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import exactlin, surgery
+from . import surgery
 from .diagrams import SurgeryDiagram
 from .surgery import HomologyPresentation
 
@@ -35,9 +36,10 @@ class D3Report(NamedTuple):
     H_1 = Z^k / Q^T Z^k on push-off meridians x_i, mu_i = m_i x_i (on the
     meridians mu_i, H_1 = Z^k / Q Z^k and the dual is rot).  The class is
     torsion iff Q*b = rot has a rational solution; `b` is then a / d for the
-    solution (d, a) of Q*a = d*rot that `minimal_order_solve` prints, reduced
-    modulo the Hermite kernel basis, so it depends on (Q, rot) alone (any
-    choice gives the same d3).  Otherwise `b` is None, as is `d3`.
+    solution (d, a) of Q*a = d*rot that `surgery.solve` prints: the unique
+    one when det Q != 0, else the one reduced modulo the Hermite kernel
+    basis, so it depends on (Q, rot) alone (any choice gives the same d3).
+    Otherwise `b` is None, as is `d3`.
     """
 
     coefficients: tuple[int, ...]
@@ -54,7 +56,7 @@ def d3_report(diagram: SurgeryDiagram) -> D3Report:
     """Euler class, d3 by the closed form, and H_1 of the diagram."""
     q = surgery.linking_matrix(diagram)
     rot = [c.rot for c in diagram.components]
-    solved = exactlin.minimal_order_solve(q.form, rot)
+    solved = surgery.solve(q, rot)
     coefficients = tuple(m * r for m, r in zip(q.magnitudes, rot))
     b = d3 = None
     if solved is not None:

@@ -1,37 +1,40 @@
 """Exact integer and rational linear algebra.
 
 Smith normal form with unimodular transforms, one minimal-order integer
-solve with its kernel basis, and the exact signature of symmetric integer
-matrices.
+solve with its kernel basis, and one fraction-free sweep of a symmetric
+matrix that gives its signature, its determinant and, when that is
+nonzero, its solves.
 
 Matrices are sequences of rows of Python integers.  Everything runs on
-arbitrary-precision integers and no floating point is used anywhere.  One
-integer elimination, the row Hermite normal form `_hermite_rows`, does all
-the integer work.  One echelon form of [M^T | I] (`echelon_form`), the same
-elimination with only its kernel rows back-reduced, serves the solve,
+arbitrary-precision integers and no floating point is used anywhere.  The
+sweep, `symmetric_signature`, is a Bareiss congruence elimination on
+sparse rows that carry the right-hand sides; every intermediate is a
+minor, so Hadamard's bound limits its size.  A singular matrix has no
+unique solution, and there the row Hermite normal form `_hermite_rows`
+does the integer work: one echelon form of [M^T | I] (`echelon_form`), the
+same elimination with only its kernel rows back-reduced, serves
 `minimal_order_solve`, which takes it in place of M and only substitutes
-into its echelon rows, and H_1: `smith_diagonal` gets those rows
-transposed and so enters at the column pass, as their row elimination is
-done.  The solve answers M*a = d*v with d minimal and a reduced modulo the
-Hermite kernel basis, so a and the rational solution a / d of M*b = v
-depend on (M, v) alone.  `smith_normal_form` (with transforms, after Kannan
+into its echelon rows.  The solve answers M*a = d*v with d minimal and a
+reduced modulo the Hermite kernel basis, so a and the rational solution
+a / d of M*b = v depend on (M, v) alone.  H_1 reads echelon rows of M^T:
+`smith_diagonal` gets them transposed and so enters at the column pass, as
+their row elimination is done.  They are the image rows of `echelon_form`,
+or, when no kernel basis is needed, the rows of `image_echelon`, which
+eliminates M^T alone.  `smith_normal_form` (with transforms, after Kannan
 and Bachem) is kept for library callers and the benchmark's probe.  The
-image rows of the echelon form keep the elimination's entries.  On small
-random matrices their largest bit length differs from the fully reduced
-Hermite form's by a few bits either way; on dense random linking matrices
-with k = 6/10/20/35/50 both reach 8/8/39/84/127 bits, and 21 bits on a
-clasped chain of k = 50.  Back-reduction bounds the entries of the Smith
-passes and of D by their pivots.  The transforms are not size-reduced: on
-dense random 50 x 50 linking matrices (seeds 1-6), whose largest invariant
-factor has 127-135 bits, U reaches 126-259 bits and V 127-134.  The
-signature eliminates fraction-free on rows of nonzeros, pivoting in the
-sparsest row; a pivot updates only the rows it touches and any other row is
-scaled by P_t / P_e when next read.  A symmetric pivot order is a
-permutation, so every intermediate is a minor and Hadamard bounds its size.
+image rows keep the elimination's entries.  On small random matrices their
+largest bit length differs from the fully reduced Hermite form's by a few
+bits either way; on dense random linking matrices with k = 6/10/20/35/50
+both reach 8/8/39/84/127 bits, and 21 bits on a clasped chain of k = 50.
+Back-reduction bounds the entries of the Smith passes and of D by their
+pivots.  The transforms are not size-reduced: on dense random 50 x 50
+linking matrices (seeds 1-6), whose largest invariant factor has 127-135
+bits, U reaches 126-259 bits and V 127-134.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
@@ -212,6 +215,19 @@ def echelon_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     return _freeze(_hermite_rows(stacked, reduce_from=nrows))
 
 
+def image_echelon(matrix: Sequence[Sequence[int]]) -> Matrix:
+    """The h-block of echelon_form(matrix), by eliminating M^T alone.
+
+    No choice of the elimination reads the identity block, and the
+    back-reduction runs only among the kernel rows, so the rows with h != 0
+    are the same; zero rows trail.  It skips the transform that only the
+    kernel basis and the solve need.
+    """
+    rows = _as_rows(matrix)
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    return _freeze(_hermite_rows(_transpose(rows, ncols), reduce_from=nrows))
+
+
 def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveResult]:
     """Find the smallest d >= 1 with M*a = d*v solvable over the integers.
 
@@ -250,45 +266,87 @@ def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveRe
     return SolveResult(den // g, tuple(a), kernel)
 
 
-def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact inertia (n_plus, n_zero, n_minus) of a symmetric integer matrix.
+class Sweep(NamedTuple):
+    """The one fraction-free sweep of a symmetric S and its columns W.
+
+    `inertia` is (n_plus, n_zero, n_minus) of S and `det` its determinant.
+    When det != 0, `solutions` holds, for each column w of W, the solve of
+    S*a = d*w with d minimal as a SolveResult whose kernel basis is empty:
+    the solution x = S^-1 w is unique, so d is its common denominator and
+    a = d*x.  When det == 0 it is None.
+    """
+
+    inertia: tuple[int, int, int]
+    det: int
+    solutions: Optional[tuple[SolveResult, ...]]
+
+
+def symmetric_signature(matrix: Sequence[Sequence[int]],
+                        columns: Sequence[Sequence[int]] = ()) -> Sweep:
+    """Exact inertia and determinant of a symmetric integer matrix S, and
+    when det S != 0 the solves of S*x = w for the given columns w.
 
     Fraction-free (Bareiss) congruence elimination on rows kept as dicts of
-    their nonzeros.  Each step pivots on the nonzero diagonal entry of the
-    row with the fewest nonzeros (the smallest index on ties).  When the
-    whole remaining diagonal is zero, adding a row and column o with
-    a_ro != 0 to the sparsest row and column r makes a_rr = 2 a_ro; an empty
-    row counts as a zero eigenvalue.  The update (p*a_ij - a_ir*a_rj) / p_prev
-    divides exactly and runs only on the rows i the pivot row lists
-    (a_ir != 0, by symmetry): on any other row it is the scaling p / p_prev.
-    So with pivots P_1, P_2, ... and P_0 = 1, a row keeps the entries x it
-    held after its last exact step e, and is scaled to x * P_t / P_e when
-    read after step t.  A symmetric pivot order is a permutation, so every
-    intermediate is still a minor of a unimodular congruent of the input
-    and Hadamard's bound limits it; each repair adds an untouched row and
-    column, so that congruent's entries are at most four times the input's.
-    The t-th Schur pivot is P_t / P_(t-1); by Sylvester its sign is what the
-    signature counts.
+    their nonzeros, each row carrying its entries of the columns w.  Each
+    step pivots on the nonzero diagonal entry of the row with the fewest
+    nonzeros (the smallest index on ties), read off a heap keyed by (row
+    length, index).  When the whole remaining diagonal is zero, adding a row
+    and column o with a_ro != 0 to the sparsest row and column r makes
+    a_rr = 2 a_ro; that step scans the rows, and the pivot after it needs no
+    repair (the Schur complement's a_oo is -a_ro / 2).  An empty row counts
+    as a zero eigenvalue.  The repair is the congruence T*S*T^T with
+    T = I + e_r e_o^T: the right-hand sides take the same row add, T*w, and
+    the solution x' of the repaired system gives x = T^T x', the column add
+    x_o += x_r.  The update (p*a_ij - a_ir*a_rj) / p_prev divides exactly
+    and runs only on the rows i the pivot row lists (a_ir != 0, by
+    symmetry): on any other row it is the scaling p / p_prev.  So with
+    pivots P_1, P_2, ... and P_0 = 1, a row keeps the entries x it held
+    after its last exact step e, and is scaled to x * P_t / P_e when read
+    after step t.  A symmetric pivot order is a permutation, so every
+    intermediate is still a minor of [T*S*T^T | T*W] for a unimodular T with
+    at most two unit entries per row, and Hadamard's bound limits it.  The
+    t-th Schur pivot is P_t / P_(t-1); by Sylvester its sign is what the
+    signature counts, and the last pivot is det S.  Back substitution over
+    the pivot rows, in reverse, gives y = det S * x in integers (Cramer),
+    each division exact, with each repair's column add applied where it was
+    made.
     """
     a = _as_rows(matrix)
-    if a and len(a[0]) != len(a):
+    n = len(a)
+    if a and len(a[0]) != n:
         raise ValueError("signature needs a square matrix")
     if a != [list(col) for col in zip(*a)]:
         raise ValueError("matrix is not symmetric")
+    if any(len(w) != n for w in columns):
+        raise ValueError("column length does not match matrix")
 
     rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(a)}
+    rhs = {i: [w[i] for w in columns] for i in rows}  # each row's entries of the columns
     last = dict.fromkeys(rows, 0)  # the number of pivots after which each row was exact
     pivots = [1]
+    steps = []  # (r, o) per repair, (r, pivot, row r, rhs r) per pivot, in sweep order
+    pivotable = [(len(row), i) for i, row in rows.items() if i in row]  # stale entries are skipped
+    heapify(pivotable)
+
+    def sparsest_pivot() -> Optional[int]:
+        while pivotable:
+            size, i = pivotable[0]
+            if i in rows and len(rows[i]) == size and i in rows[i]:
+                return i
+            heappop(pivotable)
+        return None
 
     def exact(i: int) -> dict[int, int]:
         if last[i] != len(pivots) - 1:
-            rows[i] = {j: x * pivots[-1] // pivots[last[i]] for j, x in rows[i].items()}
+            now, then = pivots[-1], pivots[last[i]]
+            rows[i] = {j: x * now // then for j, x in rows[i].items()}
+            rhs[i] = [x * now // then for x in rhs[i]]
             last[i] = len(pivots) - 1
         return rows[i]
 
     n_minus = 0
     while rows:
-        r = min(((len(row), i) for i, row in rows.items() if i in row), default=(0, None))[1]
+        r = sparsest_pivot()
         if r is None:
             size, r = min((len(row), i) for i, row in rows.items())
             if not size:
@@ -300,15 +358,39 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]
                 top[j] = top.get(j, 0) + x
             for i in other:  # column r += column o, in row i's own scale
                 rows[i][r] = rows[i].get(r, 0) + rows[i][o]
+            rhs[r] = [x + y for x, y in zip(rhs[r], rhs[o])]
+            steps.append((r, o))
         top = exact(r)
         del rows[r]
-        pivot, prev = top.pop(r), pivots[-1]
+        pivot, prev, b = top.pop(r), pivots[-1], rhs.pop(r)
         n_minus += (pivot > 0) != (prev > 0)
+        steps.append((r, pivot, top, b))
         for i in top:
             row = dict.fromkeys(top, 0)  # row i, with a 0 where only the pivot row has an entry
             row.update(exact(i))
             f = row.pop(r)
             rows[i] = {j: x for j, y in row.items() if (x := (pivot * y - f * top.get(j, 0)) // prev)}
+            rhs[i] = [(pivot * y - f * z) // prev for y, z in zip(rhs[i], b)]
             last[i] = len(pivots)
+            if i in rows[i]:
+                heappush(pivotable, (len(rows[i]), i))
         pivots.append(pivot)
-    return len(pivots) - 1 - n_minus, len(a) + 1 - len(pivots), n_minus
+    inertia = (len(pivots) - 1 - n_minus, n + 1 - len(pivots), n_minus)
+    det = pivots[-1] if len(pivots) == n + 1 else 0
+    if not det:
+        return Sweep(inertia, 0, None)
+    ys = [{} for _ in columns]  # det * x, by index, for each column
+    for step in reversed(steps):
+        if len(step) == 2:
+            r, o = step
+            for y in ys:
+                y[o] += y[r]
+        else:
+            r, pivot, row, b = step
+            for y, z in zip(ys, b):
+                y[r] = (det * z - sum([x * y[j] for j, x in row.items()])) // pivot
+    solutions = []
+    for y in ys:
+        g = gcd(det, *y.values()) * (1 if det > 0 else -1)
+        solutions.append(SolveResult(det // g, tuple(y[i] // g for i in range(n)), ()))
+    return Sweep(inertia, det, tuple(solutions))

@@ -18,8 +18,10 @@ tb_M never depends on the choice of a.  rot_M (and sl_M) may: adding a
 kernel vector v of Q to a shifts rot_M by -(1/d) sum v_i q_i rot_i, so the
 report enumerates that shift for every kernel generator instead of
 silently fixing a relative homology class.  The a it prints is the one
-`minimal_order_solve` returns, reduced modulo the Hermite kernel basis of
-Q, so the printed rot_M and sl_M depend on the diagram and the knot alone.
+`surgery.solve` returns: when det Q != 0 the unique one, read off the
+sweep of diag(m)*Q, else the one reduced modulo the Hermite kernel basis
+of Q, so the printed rot_M and sl_M depend on the diagram and the knot
+alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import exactlin, surgery
+from . import surgery
 from .diagrams import SurgeryDiagram
 
 
@@ -68,7 +70,7 @@ def invariant_report(diagram: SurgeryDiagram, name: str) -> InvariantReport:
     if len(knot.lk) != diagram.k:
         raise ValueError(f"{knot.name}: lk vector has length {len(knot.lk)}, expected {diagram.k}")
     q = surgery.linking_matrix(diagram)
-    solved = exactlin.minimal_order_solve(q.form, knot.lk)
+    solved = surgery.solve(q, knot.lk)
     if solved is None:
         return InvariantReport(knot.name, knot.kind, None, None, None, None, None, ())
 

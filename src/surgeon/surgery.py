@@ -3,17 +3,19 @@
 The generalized linking matrix of a diagram has the topological surgery
 slopes p_i on the diagonal and q_j * lk(L_i, L_j) off it, written in the
 meridian basis.  It presents the first homology of the surgered manifold.
-`linking_matrix` builds a diagram's one presentation, Q with its echelon
-form, and every solve, H_1 and the signature of this package read it.
+`linking_matrix` builds a diagram's one presentation: Q, one fraction-free
+sweep of S = diag(m)*Q that carries the right-hand sides of the diagram's
+solves, and, only when det Q = 0, the echelon form of [Q^T | I] for the
+kernel basis.  Every solve, H_1 and the signature of this package read it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 from . import diagrams, exactlin
 from .diagrams import ContactCoefficient, LegendrianComponent, SurgeryDiagram
-from .exactlin import Matrix
+from .exactlin import Matrix, SolveResult, Sweep
 
 # Largest number of components `expand_to_pm1` builds, i.e. the largest sum
 # of the coefficient magnitudes m it expands.  The expanded linking matrix
@@ -24,16 +26,24 @@ EXPANSION_LIMIT = 128
 
 class GeneralizedLinkingMatrix(NamedTuple):
     """Square integer matrix Q with row/column i attached to the meridian
-    of the i-th surgery component, the coefficient magnitudes m_i, and
-    `form`, the exactlin.echelon_form of Q.
+    of the i-th surgery component, and its one presentation.
 
-    Q itself is symmetric only when all coefficient magnitudes are 1, but
-    diag(m_1, ..., m_k) * Q is always symmetric.
+    `magnitudes` are the coefficient magnitudes m_i.  Q itself is symmetric
+    only when all of them are 1, but S = diag(m_1, ..., m_k) * Q always is.
+    `sweep` is exactlin.symmetric_signature of S with the columns
+    diag(m)*v for each v in `vectors`: rot, then the lk vector of each
+    companion knot.  It gives sigma(Q) = sigma(S), det S = prod(m) * det Q
+    and, when det Q != 0, the solve of Q*a = d*v for each of those v, as
+    S*a = d*diag(m)*v has the same solutions.  `form`, the
+    exactlin.echelon_form of Q with its Hermite kernel basis, is built only
+    when det Q = 0, and is None otherwise.
     """
 
     entries: Matrix
     magnitudes: tuple[int, ...]
-    form: Matrix
+    vectors: tuple[tuple[int, ...], ...]
+    sweep: Sweep
+    form: Optional[Matrix]
 
     @property
     def k(self) -> int:
@@ -41,14 +51,30 @@ class GeneralizedLinkingMatrix(NamedTuple):
 
 
 def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
-    """Build the generalized linking matrix of a diagram and its echelon form."""
-    k = diagram.k
+    """Build the generalized linking matrix of a diagram and its presentation."""
     slopes = [diagrams.topological_coefficient(c) for c in diagram.components]
-    entries = tuple(
-        tuple(slopes[i][0] if i == j else slopes[j][1] * diagram.linking[i][j]
-              for j in range(k))
-        for i in range(k))
-    return GeneralizedLinkingMatrix(entries, tuple(q for _, q in slopes), exactlin.echelon_form(entries))
+    magnitudes = tuple(q for _, q in slopes)
+    rows = [[m * x for m, x in zip(magnitudes, row)] for row in diagram.linking]
+    for i, (p, _) in enumerate(slopes):
+        rows[i][i] = p
+    entries = tuple(map(tuple, rows))
+    weighted = [[m * x for x in row] for m, row in zip(magnitudes, rows)]
+    # A knot whose lk vector does not fit Q has no solve; invariant_report refuses it.
+    lks = (w.lk for w in diagram.knots if len(w.lk) == diagram.k)
+    vectors = (tuple(c.rot for c in diagram.components), *lks)
+    sweep = exactlin.symmetric_signature(weighted, [[m * x for m, x in zip(magnitudes, v)] for v in vectors])
+    form = None if sweep.det else exactlin.echelon_form(entries)
+    return GeneralizedLinkingMatrix(entries, magnitudes, vectors, sweep, form)
+
+
+def solve(q: GeneralizedLinkingMatrix, vector: Sequence[int]) -> Optional[SolveResult]:
+    """The minimal-order solve of Q*a = d*v (exactlin.SolveResult) for v in
+    q.vectors, or None when v has no rational preimage.  When det Q != 0 it
+    is read off the sweep; otherwise minimal_order_solve substitutes v into
+    Q's echelon form."""
+    if q.form is None:
+        return q.sweep.solutions[q.vectors.index(tuple(vector))]
+    return exactlin.minimal_order_solve(q.form, vector)
 
 
 class HomologyPresentation(NamedTuple):
@@ -61,9 +87,12 @@ class HomologyPresentation(NamedTuple):
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
     """H_1: the entries > 1 and the zeros (the free rank) of the Smith diagonal
-    of the h-block H of Q's echelon form.  The loop starts on H^T, so that it
-    enters at the column pass: H's rows are in echelon form already."""
-    diagonal = exactlin.smith_diagonal(list(zip(*(r[:q.k] for r in q.form))))
+    of the echelon rows H of Q^T: the h-block of Q's echelon form when it
+    was built, else exactlin.image_echelon(Q), the same rows without the
+    transform.  The loop starts on H^T, so that it enters at the column
+    pass: H's rows are in echelon form already."""
+    rows = exactlin.image_echelon(q.entries) if q.form is None else (r[:q.k] for r in q.form)
+    diagonal = exactlin.smith_diagonal(list(zip(*rows)))
     return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 
@@ -110,9 +139,8 @@ def diagram_signature(q: GeneralizedLinkingMatrix) -> int:
     Q is not symmetric in general, but with M = diag(m_1, ..., m_k) > 0 the
     matrix S = M*Q is.  Q = M^-1 S is similar to M^(-1/2) S M^(-1/2), which
     is congruent to S; so all eigenvalues of Q are real and, by Sylvester's
-    law of inertia, sigma(Q) = sigma(M*Q): the exact signature of a
-    symmetric k x k integer matrix, at a cost independent of the m_i.
+    law of inertia, sigma(Q) = sigma(M*Q): the inertia of the presentation's
+    sweep of S, at a cost independent of the m_i.
     """
-    weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
-    n_plus, _, n_minus = exactlin.symmetric_signature(weighted)
+    n_plus, _, n_minus = q.sweep.inertia
     return n_plus - n_minus

@@ -17,6 +17,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPTANCE, CLI, D3, EXACTLIN, SURGERY = (f"tests/test_{n}.py::" for n in ("acceptance", "cli", "d3", "exactlin", "surgery"))
 SMITH_HOMOLOGY = SURGERY + "TestHomologyAgainstSmithForm::"
+SWEEP_PATH = SURGERY + "TestSweepAgainstEchelonPath::"
 SOLVE_RESULT = "    return SolveResult(den // g, tuple(a), kernel)"
 
 
@@ -28,8 +29,8 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    Mutant("src/surgeon/surgery.py", "exactlin.smith_diagonal(list(zip(*(r[:q.k] for r in q.form))))",
-           "exactlin.smith_normal_form(list(zip(*(r[:q.k] for r in q.form)))).diagonal",
+    Mutant("src/surgeon/surgery.py", "exactlin.smith_diagonal(list(zip(*rows)))",
+           "exactlin.smith_normal_form(list(zip(*rows))).diagonal",
            (CLI + "test_no_command_runs_the_smith_form_with_transforms[d3-trefoil_chain_rot2]",
             CLI + "test_no_command_runs_the_smith_form_with_transforms[d3-unknot_plus1_over_2]")),
     # _smith returns right after the passes, with no divisibility chain
@@ -47,9 +48,9 @@ CATALOGUE = [
     # the 2 x 2 repair without the column add recurses forever
     Mutant("src/surgeon/exactlin.py", "[[D[i][i], 0], [D[j][j], D[j][j]]]", "[[D[i][i], 0], [0, D[j][j]]]",
            (SMITH_HOMOLOGY + "test_non_dividing_family", ACCEPTANCE + "test_d3_equality_randomized")),
-    # d3_report computes the signature of diag(m) * Q a second time
+    # d3_report sweeps diag(m) * Q a second time for its signature
     Mutant("src/surgeon/d3.py", "        d3 = total / 4",
-           "        exactlin.symmetric_signature([[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)])\n"
+           "        q = surgery.linking_matrix(diagram)\n"
            "        d3 = total / 4", (CLI + "TestD3Command::test_cross_check_work[trefoil_chain_rot2.json-1-1]",
                                      CLI + "TestD3Command::test_cross_check_work[unknot_plus1_over_2.json-2-2]")),
     Mutant("src/surgeon/surgery.py", "EXPANSION_LIMIT = 128", "EXPANSION_LIMIT = 127",
@@ -113,7 +114,7 @@ CATALOGUE = [
            "diagram.components[i].tb + diagram.components[i].coeff.sign if i == j",
            (ACCEPTANCE + "test_d3_unknot_family", D3 + "TestPm1Formula::test_expanded_plus_half",
             D3 + "TestPm1Formula::test_expanded_minus_half")),
-    # sigma(Q) from Q instead of diag(m) * Q
+    # the sweep runs on Q instead of diag(m) * Q, which is not symmetric when some m > 1
     Mutant("src/surgeon/surgery.py", "weighted = [[m * x", "weighted = [[x",
            (ACCEPTANCE + "test_signature_relation_randomized",)),
     # the kernel shifts pair with lk instead of rot
@@ -123,6 +124,27 @@ CATALOGUE = [
     Mutant("src/surgeon/exactlin.py", "for r in form[rank:])", "for r in form[rank - 1:])",
            (ACCEPTANCE + "test_solution_independence",)),
     Mutant("src/surgeon/fronts.py", "writhe[a] += sign", "writhe[a] -= sign", (ACCEPTANCE + "test_front_anchors",)),
+    # the sweep: a repair's row add skips the right-hand sides
+    Mutant("src/surgeon/exactlin.py", "            rhs[r] = [x + y for x, y in zip(rhs[r], rhs[o])]\n", "",
+           (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
+    # the sweep: back substitution drops a repair's column add
+    Mutant("src/surgeon/exactlin.py", "                y[o] += y[r]", "                pass",
+           (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
+    # the presentation builds the echelon form of [Q^T | I] for every Q, so every solve substitutes into it
+    Mutant("src/surgeon/surgery.py", "form = None if sweep.det else exactlin.echelon_form(entries)",
+           "form = exactlin.echelon_form(entries)",
+           (SURGERY + "test_solve_reads_the_sweep",
+            CLI + "TestD3Command::test_cross_check_work[trefoil_chain_rot2.json-1-1]")),
+    # H_1 of a nonsingular Q from the echelon form of [Q^T | I]
+    Mutant("src/surgeon/surgery.py", "exactlin.image_echelon(q.entries) if q.form is None",
+           "exactlin.echelon_form(q.entries) if q.form is None",
+           (CLI + "TestD3Command::test_one_echelon_form_per_linking_matrix[trefoil_chain_rot2.json-1]",)),
+    # the sweep carries 2*w for each column w: its intermediates outgrow Hadamard's bound on [S | W]
+    Mutant("src/surgeon/exactlin.py", "rhs = {i: [w[i] for w in columns] for i in rows}",
+           "rhs = {i: [2 * w[i] for w in columns] for i in rows}",
+           (EXACTLIN + "TestSweep::test_intermediates_within_hadamard_bound",)),
+    # the Euler class reads as torsion even where Q*b = rot has no solution
+    Mutant("src/surgeon/d3.py", "return self.b is not None", "return True", (CLI + "TestD3Command::test_non_torsion",)),
 ]
 
 

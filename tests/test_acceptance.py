@@ -102,8 +102,10 @@ def test_single_component_closed_forms():
         report = invariant_report(diagram, "K")
         p = m * tb_L + s
         if p == 0:
-            # Q = [0]: lk has a rational preimage only when it is 0
+            # Q = [0]: lk has a rational preimage only when it is 0, and
+            # without one tb and rot are undefined too
             assert (report.order is None) == (lk != 0)
+            assert (report.tb is None and report.rot is None) == (lk != 0)
             return False
         assert report.rot == -1 - Fraction(m * lk * rot_L, p)
         assert report.tb == 2 - Fraction(m * lk * lk, p)
@@ -250,7 +252,7 @@ def test_signature_relation_randomized():
         assert n_zero == k - rational_rank(q.entries)
         sigma_q = n_plus - n_minus
         assert diagram_signature(q) == sigma_q
-        ep, _, em = symmetric_signature(expanded)
+        ep, _, em = symmetric_signature(expanded).inertia
         assert ep - em == sigma_q + correction
 
 

@@ -16,7 +16,7 @@ import surgeon.surgery
 from surgeon import expand_to_pm1
 from surgeon.cli import UserError, diagram_from_dict, diagram_to_dict, load_diagram, main
 
-from helpers import CORPUS, count_calls, cpu_limit, front_diagram, random_diagram
+from helpers import CORPUS, count_calls, cpu_limit, d3_via_expansion, front_diagram, random_diagram
 
 DIAGRAMS = CORPUS / "diagrams"
 FRONTS = CORPUS / "fronts"
@@ -219,12 +219,16 @@ class TestD3Command:
         assert data["torsion"] is True
 
     def test_non_torsion(self, capsys):
+        # The axis (tb -1, rot 2, +1): Q = [0] and Q*b = (2) has no rational
+        # solution, so the Euler class is not torsion and d3 is undefined.
         code, out, _ = run(capsys, "d3", str(DIAGRAMS / "nontorsion.json"))
         data = json.loads(out)
         assert data["torsion"] is False
+        assert data["b"] is None
         assert data["d3_closed_form"] == "undefined"
         assert data["d3_via_expansion"] == "undefined"
         assert data["homology"]["free_rank"] == 1
+        assert d3_via_expansion(load_diagram(str(DIAGRAMS / "nontorsion.json"))) is None
 
     def test_empty_diagram(self, capsys):
         code, out, _ = run(capsys, "d3", str(DIAGRAMS / "empty.json"))
@@ -263,40 +267,51 @@ class TestD3Command:
         ("unknot_plus1_over_2.json", 2, 2),
     ])
     def test_cross_check_work(self, capsys, monkeypatch, name, solves, signatures):
-        solved = count_calls(monkeypatch, surgeon.exactlin, "minimal_order_solve")
+        # One sweep per linking matrix gives its signature and its solve;
+        # det Q != 0 on both, so no solve substitutes into an echelon form.
+        solved = count_calls(monkeypatch, surgeon.surgery, "solve")
         signed = count_calls(monkeypatch, surgeon.exactlin, "symmetric_signature")
+        substituted = count_calls(monkeypatch, surgeon.exactlin, "minimal_order_solve")
         code, out, _ = run(capsys, "d3", str(DIAGRAMS / name))
         assert code == 0
         data = json.loads(out)
         assert data["torsion"] is True
         assert data["d3_via_expansion"] == data["d3_closed_form"]
         assert (len(solved), len(signed)) == (solves, signatures)
+        assert substituted == []
 
     @pytest.mark.parametrize("name,forms", [
-        # One echelon form of Q serves the solve of Q*b = rot and H_1.
+        # det Q != 0: H_1 reads the echelon rows of Q^T alone, and no
+        # [Q^T | I] form is built, as the sweep gives the solve.
         ("trefoil_chain_rot2.json", 1),
-        # The expansion has its own Q, and the cross-check solves with it.
+        # The expansion has its own Q, and the cross-check reads its H_1.
         ("unknot_plus1_over_2.json", 2),
+        # det Q = 0: one echelon form of [Q^T | I] serves the solve and H_1.
+        ("nontorsion.json", 1),
     ])
     def test_one_echelon_form_per_linking_matrix(self, capsys, monkeypatch, name, forms):
         formed = count_calls(monkeypatch, surgeon.exactlin, "echelon_form")
+        imaged = count_calls(monkeypatch, surgeon.exactlin, "image_echelon")
         code, _, _ = run(capsys, "d3", str(DIAGRAMS / name))
         assert code == 0
-        assert len(formed) == forms
+        singular = name == "nontorsion.json"
+        assert (len(formed), len(imaged)) == ((forms, 0) if singular else (0, forms))
 
 
 @pytest.mark.parametrize("command,name,builds", [
-    # One linking matrix and its echelon form serve b, d3 and H_1.
+    # One linking matrix and its one sweep serve b, d3, sigma and H_1.
     ("d3", "trefoil_chain_rot2.json", 1),
     # The expansion has its own Q.
     ("d3", "unknot_plus1_over_2.json", 2),
+    # One sweep carries the lk vectors of all knots the command reports.
     ("invariants", "trefoil_chain_rot2.json", 1),
 ])
 def test_one_linking_matrix_per_command(capsys, monkeypatch, command, name, builds):
     built = count_calls(monkeypatch, surgeon.surgery, "linking_matrix")
+    swept = count_calls(monkeypatch, surgeon.exactlin, "symmetric_signature")
     code, _, _ = run(capsys, command, str(DIAGRAMS / name))
     assert code == 0
-    assert len(built) == builds
+    assert len(built) == len(swept) == builds
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,6 @@ from surgeon import (
 )
 
 from helpers import (
-    d3_via_expansion,
     fraction_det,
     oracle_d3_pm1,
     random_diagram,
@@ -84,15 +83,6 @@ class TestEulerClass:
             differs += cokernel_order(q, printed) != order
             checked += 1
         assert differs > 0
-
-    def test_non_torsion(self):
-        diagram = SurgeryDiagram(
-            (LegendrianComponent("axis", -1, 2, ContactCoefficient.parse("+1")),), ((0,),))
-        ec = d3_report(diagram)
-        assert not ec.torsion
-        assert ec.b is None
-        assert d3_report(diagram).d3 is None
-        assert d3_via_expansion(diagram) is None
 
 
 class TestUnknotFamily:

@@ -13,7 +13,7 @@ from surgeon import (
     smith_normal_form,
     symmetric_signature,
 )
-from surgeon.exactlin import echelon_form, smith_diagonal
+from surgeon.exactlin import echelon_form, image_echelon, smith_diagonal
 
 from helpers import (
     bench_chain_diagram,
@@ -70,7 +70,7 @@ class TestSmithNormalForm:
             snf_invariants_hold(random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9))
 
     def test_ragged_matrix_rejected(self):
-        for fn in (smith_normal_form, smith_diagonal, echelon_form, symmetric_signature):
+        for fn in (smith_normal_form, smith_diagonal, echelon_form, image_echelon, symmetric_signature):
             with pytest.raises(ValueError, match="^ragged matrix$"):
                 fn([[1, 2], [3]])
 
@@ -150,7 +150,8 @@ class TestEchelonForm:
     """echelon_form(M) is a basis (h, u) of the lattice of pairs (M*u, u):
     the image rows (h != 0) first, in echelon form with positive pivots,
     then the kernel rows in Hermite form.  Its pivots and kernel rows are
-    those of the fully reduced Hermite form."""
+    those of the fully reduced Hermite form, and its h-block is
+    image_echelon(M), which eliminates M^T alone."""
 
     @staticmethod
     def check(matrix):
@@ -169,6 +170,7 @@ class TestEchelonForm:
         for t in range(rank, ncols):
             assert all(0 <= form[i][pivots[t]] < form[t][pivots[t]] for i in range(rank, t))
         assert smith_diagonal(h_block) == smith_diagonal(matrix)
+        assert image_echelon(matrix) == tuple(map(tuple, h_block))
         full = full_hermite_form(matrix)
         assert [r[p] for r, p in zip(full, pivots)] == [r[p] for r, p in zip(form, pivots)]
         assert [list(r) for r in form[rank:]] == full[rank:]
@@ -347,18 +349,18 @@ class TestGrowthRegressions:
 
 class TestSignature:
     def test_zero_matrix(self):
-        assert symmetric_signature([[0]]) == (0, 1, 0)
+        assert symmetric_signature([[0]]).inertia == (0, 1, 0)
 
     def test_negative_definite(self):
         # eigenvalues -1 and -3
-        assert symmetric_signature([[-2, -1], [-1, -2]]) == (0, 0, 2)
+        assert symmetric_signature([[-2, -1], [-1, -2]]).inertia == (0, 0, 2)
 
     def test_indefinite(self):
         # eigenvalues +1 and -1
-        assert symmetric_signature([[0, -1], [-1, 0]]) == (1, 0, 1)
+        assert symmetric_signature([[0, -1], [-1, 0]]).inertia == (1, 0, 1)
 
     def test_empty(self):
-        assert symmetric_signature([]) == (0, 0, 0)
+        assert symmetric_signature([]).inertia == (0, 0, 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="^signature needs a square matrix$"):
@@ -374,7 +376,7 @@ class TestSignature:
         for _ in range(700):
             n = rng.randint(0, 8)
             matrix = random_symmetric(rng, n, family)
-            inertia = symmetric_signature(matrix)
+            inertia = symmetric_signature(matrix).inertia
             assert inertia == fraction_signature(matrix)
             assert inertia == descartes_split(char_poly(matrix), n)
 
@@ -384,7 +386,7 @@ class TestSignature:
         for i in range(40):
             for j in range(i, 40):
                 matrix[i][j] = matrix[j][i] = rng.randint(-2, 2)
-        assert symmetric_signature(matrix) == fraction_signature(matrix)
+        assert symmetric_signature(matrix).inertia == fraction_signature(matrix)
 
     def test_sparse_sweep_paths(self):
         # Permuted block-diagonal S: repairs after pivots in other blocks,
@@ -392,14 +394,14 @@ class TestSignature:
         rng = random.Random("signature-blocks")
         for _ in range(400):
             matrix = random_block_symmetric(rng, rng.randint(1, 16))
-            assert symmetric_signature(matrix) == fraction_signature(matrix)
+            assert symmetric_signature(matrix).inertia == fraction_signature(matrix)
         for _ in range(200):
             n = rng.randint(1, 12)
             diagonal = [rng.choice((0, 0, -2, 1)) for _ in range(n)]
             off = [rng.choice((-1, 1)) for _ in range(n)]
             matrix = [[diagonal[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0
                        for j in range(n)] for i in range(n)]
-            assert symmetric_signature(matrix) == tridiagonal_signature(matrix)
+            assert symmetric_signature(matrix).inertia == tridiagonal_signature(matrix)
 
     def test_chain_growth_guard(self):
         """sigma of the benchmark's chain of 400 clasped unknots, a
@@ -409,8 +411,118 @@ class TestSignature:
         oracle is Jacobi's rule alone (`fraction_signature` takes 1 s here)."""
         matrix = [list(row) for row in linking_matrix(bench_chain_diagram(random.Random(5), 400)).entries]
         with cpu_limit(1):
-            inertia = symmetric_signature(matrix)
+            inertia = symmetric_signature(matrix).inertia
         assert inertia == tridiagonal_signature(matrix)
+
+
+
+def hadamard_square(matrix, columns):
+    """The square of Hadamard's bound on every minor of [S | W]: the
+    product over the rows of max(1, |row|^2)."""
+    return prod(max(1, sum(x * x for x in row) + sum(w[i] * w[i] for w in columns))
+                for i, row in enumerate(matrix))
+
+
+# The sweep's locals that hold indices, counts or the caller's input, not
+# values; every other local is checked, so a new value local is too.
+INDEX_LOCALS = {"matrix", "columns", "n", "r", "o", "i", "j", "size", "n_minus", "inertia", "last",
+                "pivotable", "steps"}
+
+
+def sweep_intermediates(matrix, columns):
+    """Run symmetric_signature(matrix, columns) and collect every integer its
+    frame holds at each line it runs and at its return: the rows, their
+    right-hand sides, the pivots, the stored pivot rows and the back
+    substitution.  Returns (sweep, integers, repairs), where repairs counts
+    the (r, o) steps the sweep recorded."""
+    import sys
+
+    code, seen, final = surgeon.exactlin.symmetric_signature.__code__, [], {}
+
+    def walk(value):
+        if isinstance(value, int) and not isinstance(value, bool):
+            seen.append(value)
+        elif isinstance(value, dict):
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                walk(v)
+
+    def local(frame, event, _arg):
+        if event in ("line", "return"):
+            names = frame.f_locals
+            walk([v for name, v in names.items() if name not in INDEX_LOCALS])
+            walk([step[1:] for step in names.get("steps", ()) if len(step) == 4])  # (r, pivot, row, rhs)
+            final.update(names)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        sweep = symmetric_signature(matrix, columns)
+    finally:
+        sys.settrace(previous)
+    return sweep, seen, sum(len(step) == 2 for step in final["steps"])
+
+
+class TestSweep:
+    """The solves that symmetric_signature carries, against rational
+    elimination, and the sizes of everything it computes."""
+
+    FAMILIES = ("sparse", "zero-diagonal", "uniform", "gram")
+
+    @classmethod
+    def draws(cls, rng, count):
+        """`count` systems (S, W): the four `random_symmetric` families in
+        turn, every fifth a permuted block matrix, with 1-3 columns."""
+        for t in range(count):
+            if t % 5 == 4:
+                matrix = random_block_symmetric(rng, rng.randint(1, 12))
+            else:
+                matrix = random_symmetric(rng, rng.randint(0, 8), cls.FAMILIES[t % 5])
+            n = len(matrix)
+            yield matrix, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+
+    def test_solves_against_rational_elimination(self):
+        # Zero diagonals and permuted blocks make the sweep repair, so its
+        # right-hand sides take the row adds and its solutions the column adds.
+        solved = 0
+        for matrix, columns in self.draws(random.Random("sweep-solves"), 800):
+            sweep = symmetric_signature(matrix, columns)
+            assert sweep.det == fraction_det(matrix)
+            if not sweep.det:
+                assert sweep.solutions is None
+                continue
+            assert len(sweep.solutions) == len(columns)
+            for w, result in zip(columns, sweep.solutions):
+                x = rational_gauss_solve(matrix, w)
+                assert result.order == lcm(*(v.denominator for v in x))
+                assert list(result.particular) == [v * result.order for v in x]
+                assert result.kernel_basis == ()
+            solved += 1
+        assert solved >= 350
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="^column length does not match matrix$"):
+            symmetric_signature([[1, 0], [0, 1]], [[1]])
+
+    def test_intermediates_within_hadamard_bound(self):
+        """Every intermediate, right-hand sides included, is a minor of
+        [T*S*T^T | T*W], T the product of the sweep's repairs, whose rows
+        have at most two unit entries.  By Cauchy-Binet such a minor is at
+        most 4^repairs times Hadamard's bound H on [S | W]; with no repair
+        that is H itself.  The solutions, divided by their content, are
+        within H too: they are Cramer numerators of S over det S."""
+        repaired = 0
+        for matrix, columns in self.draws(random.Random("sweep-sizes"), 150):
+            bound = hadamard_square(matrix, columns)
+            sweep, seen, repairs = sweep_intermediates(matrix, columns)
+            assert max(x * x for x in seen) <= 16 ** repairs * bound
+            for result in sweep.solutions or ():
+                assert max((x * x for x in (result.order, *result.particular))) <= bound
+            repaired += repairs > 0
+        assert repaired >= 30
 
 
 class TestCharPoly:

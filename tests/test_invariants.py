@@ -77,13 +77,6 @@ class TestKindGuards:
         with pytest.raises(ValueError, match="K: lk vector has length 2, expected 1"):
             invariant_report(diagram, "K")
 
-    def test_not_rationally_nullhomologous(self):
-        knot = CompanionKnot("K", "legendrian", (1,), tb=-1, rot=0)
-        diagram = single_surgery(-1, 0, "+1", knot)  # Q = [0], lk = 1
-        report = invariant_report(diagram, "K")
-        assert report.order is None
-        assert report.tb is None and report.rot is None
-
     def test_integral_outputs_for_order_one(self):
         rng = random.Random(808)
         checked = 0
@@ -99,7 +92,9 @@ class TestKindGuards:
 
 def test_report_factors_q_once(monkeypatch):
     diagram = load_diagram(str(CORPUS / "diagrams" / "rational_order3.json"))
-    calls = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
+    # det Q != 0: the one sweep of diag(m)*Q solves, with no Hermite elimination.
+    swept = count_calls(monkeypatch, surgeon.exactlin, "symmetric_signature")
+    hermite = count_calls(monkeypatch, surgeon.exactlin, "_hermite_rows")
     report = invariant_report(diagram, "K")
     assert (report.order, report.tb) == (3, Fraction(-1, 3))
-    assert len(calls) == 1
+    assert (len(swept), len(hermite)) == (1, 0)

@@ -27,7 +27,7 @@ LAZY = ("d3", "exactlin", "fronts", "invariants", "surgery")
 PUBLIC = """
     CompanionKnot ContactCoefficient D3Report Diagnostic FrontDocument FrontError
     FrontInvariants GeneralizedLinkingMatrix HomologyPresentation InvariantReport
-    LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram classical_invariants
+    LegendrianComponent SNFDecomposition SolveResult SurgeryDiagram Sweep classical_invariants
     d3_report diagram_signature expand_to_pm1 homology invariant_report
     linking_matrix minimal_order_solve parse_front smith_normal_form symmetric_signature
     to_diagram topological_coefficient validate
@@ -124,12 +124,12 @@ def test_tracer_installs_on_lazy_layers():
     """)
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
-    assert {"cli.main", "d3.d3_report", "exactlin.minimal_order_solve", "surgery.homology",
-            "exactlin.echelon_form"} <= set(result["spans"])
+    assert {"cli.main", "d3.d3_report", "surgery.solve", "exactlin.symmetric_signature", "surgery.homology",
+            "exactlin.image_echelon"} <= set(result["spans"])
 
 
 def test_count_calls_loads_the_lazy_layers_first():
-    # Wrapping exactlin's echelon_form before any other layer loads counts
+    # Wrapping exactlin's image_echelon before any other layer loads counts
     # each call once: `surgery`, loaded later, calls it through exactlin.
     result = run_fresh(f"""
         import json
@@ -141,7 +141,7 @@ def test_count_calls_loads_the_lazy_layers_first():
 
         assert state()["ran"] == []
         with pytest.MonkeyPatch.context() as monkeypatch:
-            formed = count_calls(monkeypatch, surgeon.exactlin, "echelon_form")
+            formed = count_calls(monkeypatch, surgeon.exactlin, "image_echelon")
             assert surgeon.cli.main(["d3", {str(CHECKED_FILE)!r}]) == 0
         print(json.dumps(len(formed)))
     """)

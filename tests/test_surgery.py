@@ -1,5 +1,5 @@
 import random
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -12,23 +12,26 @@ from surgeon import (
     diagram_signature,
     expand_to_pm1,
     homology,
+    invariant_report,
     linking_matrix,
     smith_normal_form,
     symmetric_signature,
 )
 from surgeon.cli import load_diagram
 from surgeon.exactlin import echelon_form, smith_diagonal
-from surgeon.surgery import EXPANSION_LIMIT
+from surgeon.surgery import EXPANSION_LIMIT, solve
 
 from helpers import (
     CORPUS,
     NON_DIVIDING_ENTRIES,
+    bench_chain_diagram,
     char_poly,
     check_snf_invariants,
     cpu_limit,
     dense_diagram,
     diagonal_factors,
     fraction_det,
+    fraction_signature,
     non_dividing_family,
     poly_mul,
     random_diagram,
@@ -36,7 +39,10 @@ from helpers import (
     rational_inverse,
     singular_diagram,
     smith_oracle,
+    t_linking_matrix,
     t_mat_mul,
+    t_mat_vec,
+    tridiagonal_signature,
     unknot_surgery,
 )
 
@@ -108,18 +114,25 @@ def chain_diagram(rng: random.Random, k, m_max=3) -> SurgeryDiagram:
 
 def check_homology(q):
     """H_1 of Q against the Smith form with transforms and, as both run
-    `_smith`, against `smith_oracle`, which shares no code with it.  When
+    `_smith`, against `smith_oracle`, which shares no code with it; H_1 is
+    the same from the echelon form of [Q^T | I] and from Q^T alone.  When
     det Q != 0, H_1 is finite of order |det Q|, and its exponent, the
     largest invariant factor, is the least common denominator of Q^-1:
-    oracles that need no Smith form.  Returns whether det Q != 0."""
+    oracles that need no Smith form.  A presentation with a sweep has
+    det S = prod(m) * det Q and the form exactly when det Q = 0.  Returns
+    whether det Q != 0."""
     snf = smith_normal_form(q.entries)
     hom = homology(q)
     assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
     assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
-    assert q.form == echelon_form(q.entries)
+    form = echelon_form(q.entries)
+    assert homology(q._replace(form=None if q.form is not None else form)) == hom  # the other path
     oracle = smith_oracle(q.entries)
     assert oracle is None or snf.diagonal == oracle
     det = fraction_det(q.entries)
+    if q.sweep is not None:
+        assert q.sweep.det == prod(q.magnitudes) * det
+        assert q.form == (None if det else form)
     if det == 0:
         return False
     assert hom.free_rank == 0
@@ -130,15 +143,17 @@ def check_homology(q):
 
 
 def bare(entries):
-    """The presentation of a matrix Q with unit magnitudes."""
+    """A matrix Q with unit magnitudes, as `homology` reads it: Q and no
+    form, so H_1 eliminates Q^T alone.  Q need not be symmetric, so there
+    is no sweep."""
     entries = tuple(map(tuple, entries))
-    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), echelon_form(entries))
+    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), (), None, None)
 
 
 class TestHomologyAgainstSmithForm:
-    """homology reads H_1 off the echelon rows of one echelon form of
-    [Q^T | I]; `check_homology` holds it against every oracle on 2083
-    matrices, and on the non-dividing family."""
+    """homology reads H_1 off echelon rows of Q^T, from the echelon form of
+    [Q^T | I] or from Q^T alone; `check_homology` holds both against every
+    oracle on 2083 matrices, and on the non-dividing family."""
 
     def test_dense(self):
         # k <= 7, then more k <= 4 until each such k has 160 draws
@@ -257,6 +272,67 @@ def test_homology_repairs_divisibility_on_the_diagonal():
         assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
 
 
+def with_companion(rng: random.Random, diagram) -> SurgeryDiagram:
+    """The diagram with a Legendrian companion K of random lk in [-1, 1]."""
+    lk = tuple(rng.randint(-1, 1) for _ in range(diagram.k))
+    return diagram._replace(knots=(CompanionKnot("K", "legendrian", lk, tb=-1, rot=0),))
+
+
+class TestSweepAgainstEchelonPath:
+    """When det Q != 0, every solve is read off the sweep of diag(m)*Q and
+    H_1 off Q^T alone.  Forcing the echelon path (the form of [Q^T | I], as
+    det Q = 0 builds it) must give the same order and a, so the same
+    b = a / d, for rot and each lk, and the same invariant factors; sigma,
+    which has one path, is held against rational elimination.  2000
+    nonsingular linking matrices: random, dense, +-1 and 1/m chains, and
+    m-ladder expansions."""
+
+    @staticmethod
+    def compare(q, chain=False) -> bool:
+        """Compare the two paths on q; returns whether det Q != 0."""
+        if not q.sweep.det:
+            return False
+        forced = q._replace(form=echelon_form(q.entries))
+        for v in q.vectors:
+            assert solve(q, v) == solve(forced, v)
+        assert homology(q) == homology(forced)
+        weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
+        assert q.sweep.inertia == (tridiagonal_signature if chain else fraction_signature)(weighted)
+        return True
+
+    def test_differential(self):
+        rng = random.Random(3301)
+        families = [
+            (900, False, lambda: random_diagram(rng, with_knot=True)),
+            (200, False, lambda: dense_diagram(rng, rng.randint(2, 10))),
+            (300, True, lambda: with_companion(rng, bench_chain_diagram(rng, rng.randint(2, 16)))),
+            (300, True, lambda: with_companion(rng, chain_diagram(rng, rng.randint(2, 16)))),
+            (300, False, lambda: expand_to_pm1(random_diagram(rng, with_knot=True))),
+        ]
+        for count, chain, draw in families:
+            compared = 0
+            while compared < count:
+                compared += self.compare(linking_matrix(draw()), chain)
+
+
+def test_solve_reads_the_sweep():
+    """A growth guard: invariant_report on a chain of 1000 unknots with
+    coefficients +-1/m (m <= 3).  The sweep solves it in well under a second
+    of CPU; substituting into the echelon form of [Q^T | I], whose
+    transform block holds some 221 000 nonzeros of 121 Mbit, took about
+    26 s.  The oracle needs no library code: Q*a = d*lk in integers, and
+    gcd(d, a) = 1, which makes d minimal as det Q != 0 (the continuant) makes
+    the solution unique."""
+    rng = random.Random(1)
+    diagram = with_companion(rng, chain_diagram(rng, 1000))
+    with cpu_limit(2):
+        report = invariant_report(diagram, "K")
+    q = t_linking_matrix(diagram)
+    assert continuant(q) != 0
+    assert t_mat_vec(q, report.solution) == [report.order * x for x in diagram.knots[0].lk]
+    assert gcd(report.order, *report.solution) == 1
+
+
 class TestExpansion:
     def test_identity_on_pm1(self):
         diagram = pair(("+1", "-1"), (-1, -2), (0, 1), -1)
@@ -339,7 +415,7 @@ class TestSignature:
     def test_pm1_reduces_to_symmetric_signature(self):
         diagram = pair(("+1", "-1"), (-1, -2), (0, 1), -1)
         q = linking_matrix(diagram)
-        n_plus, _, n_minus = symmetric_signature(q.entries)
+        n_plus, _, n_minus = symmetric_signature(q.entries).inertia
         assert diagram_signature(q) == n_plus - n_minus
 
     def test_char_poly_divides_expansion(self):
