@@ -8,21 +8,22 @@ nonzero, its solves.
 Matrices are sequences of rows of Python integers.  Everything runs on
 arbitrary-precision integers and no floating point is used anywhere.  The
 sweep, `symmetric_signature`, is a Bareiss congruence elimination on
-sparse rows that carry the right-hand sides; every intermediate is a
-minor, so Hadamard's bound limits its size.  A singular matrix has no
-unique solution, and there the row Hermite normal form `_hermite_rows`
-does the integer work: one echelon form of [M^T | I] (`echelon_form`), the
-same elimination with only its kernel rows back-reduced, serves
-`minimal_order_solve`, which takes it in place of M and only substitutes
-into its echelon rows.  The solve answers M*a = d*v with d minimal and a
-reduced modulo the Hermite kernel basis, so a and the rational solution
-a / d of M*b = v depend on (M, v) alone.  H_1 reads echelon rows of M^T:
-`smith_diagonal` gets them transposed and so enters at the column pass, as
-their row elimination is done.  They are the image rows of `echelon_form`,
-or, when no kernel basis is needed, the rows of `image_echelon`, which
-eliminates M^T alone.  `smith_normal_form` (with transforms, after Kannan
-and Bachem) is kept for library callers and the benchmark's probe.  The
-image rows keep the elimination's entries.  On small random matrices their
+sparse rows, and `Sweep.solve` replays its record on a right-hand side;
+every intermediate of both is a minor, so Hadamard's bound limits its
+size.  A singular matrix has no unique solution, and there the row
+Hermite normal form `_hermite_rows` does the integer work: one echelon
+form of [M^T | I] (`echelon_form`), the same elimination with only its
+kernel rows back-reduced, serves `minimal_order_solve`, which takes it in
+place of M and only substitutes into its echelon rows.  The solve answers
+M*a = d*v with d minimal and a reduced modulo the Hermite kernel basis, so
+a and the rational solution a / d of M*b = v depend on (M, v) alone.  H_1
+reads echelon rows of M^T: `smith_diagonal` gets them transposed and so
+enters at the column pass, as their row elimination is done.  They are
+the image rows of `echelon_form`, or, when no kernel basis is needed, the
+rows of `image_echelon`, which eliminates M^T alone.  `smith_normal_form`
+(with transforms, after Kannan and Bachem) is kept for library callers
+and the benchmark's probe.  The image rows keep the elimination's
+entries.  On small random matrices their
 largest bit length differs from the fully reduced Hermite form's by a few
 bits either way; on dense random linking matrices with k = 6/10/20/35/50
 both reach 8/8/39/84/127 bits, and 21 bits on a clasped chain of k = 50.
@@ -37,6 +38,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -267,49 +269,92 @@ def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveRe
 
 
 class Sweep(NamedTuple):
-    """The one fraction-free sweep of a symmetric S and its columns W.
+    """The one fraction-free sweep of a symmetric S (`symmetric_signature`).
 
     `inertia` is (n_plus, n_zero, n_minus) of S and `det` its determinant.
-    When det != 0, `solutions` holds, for each column w of W, the solve of
-    S*a = d*w with d minimal as a SolveResult whose kernel basis is empty:
-    the solution x = S^-1 w is unique, so d is its common denominator and
-    a = d*x.  When det == 0 it is None.
+    `steps` records the eliminations in sweep order: (r, o) for a repair
+    that adds row and column o to row and column r, and (r, pivot, columns,
+    entries) for a pivot on row r, whose other nonzeros a_rj are `entries`
+    at `columns`.  `solve` replays them on a right-hand side.
     """
 
     inertia: tuple[int, int, int]
     det: int
-    solutions: Optional[tuple[SolveResult, ...]]
+    steps: tuple[tuple, ...]
+
+    def solve(self, column: Sequence[int]) -> Optional[SolveResult]:
+        """The solve of S*a = d*w with d minimal when det S != 0, else None.
+
+        The solution x = S^-1 w is unique, so d is its common denominator,
+        a = d*x and the kernel basis is empty.  The replay runs the sweep's
+        eliminations on w as it runs them on a row: a repair's row add
+        b_r += b_o, and at each pivot p the update (p*b_i - a_ir*b_r) / p_prev
+        on the rows the pivot row lists (a_ir = a_ri, by symmetry) and the
+        scaling p / p_prev, kept lazy, on the others.  So every b_i is a
+        minor of [T*S*T^T | T*w], as the rows are.  The repair is the
+        congruence T*S*T^T with T = I + e_r e_o^T, so the solution x' of the
+        repaired system gives x = T^T x', the column add x_o += x_r.  Back
+        substitution over the pivot rows, in reverse, gives y = det S * x in
+        integers (Cramer), each division exact, with each repair's column add
+        applied where it was made.
+        """
+        if len(column) != sum(self.inertia):
+            raise ValueError("column length does not match matrix")
+        if not self.det:
+            return None
+        b, last, pivots, tops = list(column), [0] * len(column), [1], []
+
+        def exact(i: int) -> int:
+            if last[i] != len(pivots) - 1:
+                b[i] = b[i] * pivots[-1] // pivots[last[i]]
+                last[i] = len(pivots) - 1
+            return b[i]
+
+        for step in self.steps:
+            if len(step) == 2:
+                r, o = step
+                b[r] = exact(r) + exact(o)
+                continue
+            r, pivot, columns, entries = step
+            tops.append(exact(r))
+            for i, f in zip(columns, entries):
+                b[i] = (pivot * exact(i) - f * tops[-1]) // pivots[-1]
+                last[i] = len(pivots)
+            pivots.append(pivot)
+        y = [0] * len(b)  # det * x
+        for step in reversed(self.steps):
+            if len(step) == 2:
+                r, o = step
+                y[o] += y[r]
+            else:
+                r, pivot, columns, entries = step
+                y[r] = (self.det * tops.pop() - sum(map(mul, map(y.__getitem__, columns), entries))) // pivot
+        g = gcd(self.det, *y) * (1 if self.det > 0 else -1)
+        return SolveResult(self.det // g, tuple(x // g for x in y), ())
 
 
-def symmetric_signature(matrix: Sequence[Sequence[int]],
-                        columns: Sequence[Sequence[int]] = ()) -> Sweep:
+def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Sweep:
     """Exact inertia and determinant of a symmetric integer matrix S, and
-    when det S != 0 the solves of S*x = w for the given columns w.
+    the record of its elimination that Sweep.solve replays.
 
     Fraction-free (Bareiss) congruence elimination on rows kept as dicts of
-    their nonzeros, each row carrying its entries of the columns w.  Each
-    step pivots on the nonzero diagonal entry of the row with the fewest
-    nonzeros (the smallest index on ties), read off a heap keyed by (row
-    length, index).  When the whole remaining diagonal is zero, adding a row
-    and column o with a_ro != 0 to the sparsest row and column r makes
-    a_rr = 2 a_ro; that step scans the rows, and the pivot after it needs no
-    repair (the Schur complement's a_oo is -a_ro / 2).  An empty row counts
-    as a zero eigenvalue.  The repair is the congruence T*S*T^T with
-    T = I + e_r e_o^T: the right-hand sides take the same row add, T*w, and
-    the solution x' of the repaired system gives x = T^T x', the column add
-    x_o += x_r.  The update (p*a_ij - a_ir*a_rj) / p_prev divides exactly
-    and runs only on the rows i the pivot row lists (a_ir != 0, by
-    symmetry): on any other row it is the scaling p / p_prev.  So with
-    pivots P_1, P_2, ... and P_0 = 1, a row keeps the entries x it held
-    after its last exact step e, and is scaled to x * P_t / P_e when read
-    after step t.  A symmetric pivot order is a permutation, so every
-    intermediate is still a minor of [T*S*T^T | T*W] for a unimodular T with
-    at most two unit entries per row, and Hadamard's bound limits it.  The
-    t-th Schur pivot is P_t / P_(t-1); by Sylvester its sign is what the
-    signature counts, and the last pivot is det S.  Back substitution over
-    the pivot rows, in reverse, gives y = det S * x in integers (Cramer),
-    each division exact, with each repair's column add applied where it was
-    made.
+    their nonzeros.  Each step pivots on the nonzero diagonal entry of the
+    row with the fewest nonzeros (the smallest index on ties), read off a
+    heap keyed by (row length, index).  When the whole remaining diagonal
+    is zero, adding a row and column o with a_ro != 0 to the sparsest row
+    and column r makes a_rr = 2 a_ro; that step scans the rows, and the
+    pivot after it needs no repair (the Schur complement's a_oo is
+    -a_ro / 2).  An empty row counts as a zero eigenvalue.  The update
+    (p*a_ij - a_ir*a_rj) / p_prev divides exactly and runs only on the rows
+    i the pivot row lists (a_ir != 0, by symmetry): on any other row it is
+    the scaling p / p_prev.  So with pivots P_1, P_2, ... and P_0 = 1, a row
+    keeps the entries x it held after its last exact step e, and is scaled
+    to x * P_t / P_e when read after step t.  A symmetric pivot order is a
+    permutation, so every intermediate is still a minor of T*S*T^T for a
+    unimodular T, the product of the repairs, with at most two unit entries
+    per row, and Hadamard's bound limits it.  The t-th Schur pivot is
+    P_t / P_(t-1); by Sylvester its sign is what the signature counts, and
+    the last pivot is det S.
     """
     a = _as_rows(matrix)
     n = len(a)
@@ -317,14 +362,11 @@ def symmetric_signature(matrix: Sequence[Sequence[int]],
         raise ValueError("signature needs a square matrix")
     if a != [list(col) for col in zip(*a)]:
         raise ValueError("matrix is not symmetric")
-    if any(len(w) != n for w in columns):
-        raise ValueError("column length does not match matrix")
 
     rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(a)}
-    rhs = {i: [w[i] for w in columns] for i in rows}  # each row's entries of the columns
     last = dict.fromkeys(rows, 0)  # the number of pivots after which each row was exact
     pivots = [1]
-    steps = []  # (r, o) per repair, (r, pivot, row r, rhs r) per pivot, in sweep order
+    steps = []
     pivotable = [(len(row), i) for i, row in rows.items() if i in row]  # stale entries are skipped
     heapify(pivotable)
 
@@ -340,7 +382,6 @@ def symmetric_signature(matrix: Sequence[Sequence[int]],
         if last[i] != len(pivots) - 1:
             now, then = pivots[-1], pivots[last[i]]
             rows[i] = {j: x * now // then for j, x in rows[i].items()}
-            rhs[i] = [x * now // then for x in rhs[i]]
             last[i] = len(pivots) - 1
         return rows[i]
 
@@ -358,39 +399,20 @@ def symmetric_signature(matrix: Sequence[Sequence[int]],
                 top[j] = top.get(j, 0) + x
             for i in other:  # column r += column o, in row i's own scale
                 rows[i][r] = rows[i].get(r, 0) + rows[i][o]
-            rhs[r] = [x + y for x, y in zip(rhs[r], rhs[o])]
             steps.append((r, o))
         top = exact(r)
         del rows[r]
-        pivot, prev, b = top.pop(r), pivots[-1], rhs.pop(r)
+        pivot, prev = top.pop(r), pivots[-1]
         n_minus += (pivot > 0) != (prev > 0)
-        steps.append((r, pivot, top, b))
+        steps.append((r, pivot, tuple(top), tuple(top.values())))
         for i in top:
             row = dict.fromkeys(top, 0)  # row i, with a 0 where only the pivot row has an entry
             row.update(exact(i))
             f = row.pop(r)
             rows[i] = {j: x for j, y in row.items() if (x := (pivot * y - f * top.get(j, 0)) // prev)}
-            rhs[i] = [(pivot * y - f * z) // prev for y, z in zip(rhs[i], b)]
             last[i] = len(pivots)
             if i in rows[i]:
                 heappush(pivotable, (len(rows[i]), i))
         pivots.append(pivot)
     inertia = (len(pivots) - 1 - n_minus, n + 1 - len(pivots), n_minus)
-    det = pivots[-1] if len(pivots) == n + 1 else 0
-    if not det:
-        return Sweep(inertia, 0, None)
-    ys = [{} for _ in columns]  # det * x, by index, for each column
-    for step in reversed(steps):
-        if len(step) == 2:
-            r, o = step
-            for y in ys:
-                y[o] += y[r]
-        else:
-            r, pivot, row, b = step
-            for y, z in zip(ys, b):
-                y[r] = (det * z - sum([x * y[j] for j, x in row.items()])) // pivot
-    solutions = []
-    for y in ys:
-        g = gcd(det, *y.values()) * (1 if det > 0 else -1)
-        solutions.append(SolveResult(det // g, tuple(y[i] // g for i in range(n)), ()))
-    return Sweep(inertia, det, tuple(solutions))
+    return Sweep(inertia, pivots[-1] if len(pivots) == n + 1 else 0, tuple(steps))

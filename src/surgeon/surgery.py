@@ -4,8 +4,8 @@ The generalized linking matrix of a diagram has the topological surgery
 slopes p_i on the diagonal and q_j * lk(L_i, L_j) off it, written in the
 meridian basis.  It presents the first homology of the surgered manifold.
 `linking_matrix` builds a diagram's one presentation: Q, one fraction-free
-sweep of S = diag(m)*Q that carries the right-hand sides of the diagram's
-solves, and, only when det Q = 0, the echelon form of [Q^T | I] for the
+sweep of S = diag(m)*Q, whose record `solve` replays on each right-hand
+side, and, only when det Q = 0, the echelon form of [Q^T | I] for the
 kernel basis.  Every solve, H_1 and the signature of this package read it.
 """
 
@@ -30,18 +30,15 @@ class GeneralizedLinkingMatrix(NamedTuple):
 
     `magnitudes` are the coefficient magnitudes m_i.  Q itself is symmetric
     only when all of them are 1, but S = diag(m_1, ..., m_k) * Q always is.
-    `sweep` is exactlin.symmetric_signature of S with the columns
-    diag(m)*v for each v in `vectors`: rot, then the lk vector of each
-    companion knot.  It gives sigma(Q) = sigma(S), det S = prod(m) * det Q
-    and, when det Q != 0, the solve of Q*a = d*v for each of those v, as
-    S*a = d*diag(m)*v has the same solutions.  `form`, the
-    exactlin.echelon_form of Q with its Hermite kernel basis, is built only
-    when det Q = 0, and is None otherwise.
+    `sweep` is exactlin.symmetric_signature of S.  It gives sigma(Q) =
+    sigma(S), det S = prod(m) * det Q and, when det Q != 0, the solve of
+    Q*a = d*v for any v, as S*a = d*diag(m)*v has the same solutions.
+    `form`, the exactlin.echelon_form of Q with its Hermite kernel basis, is
+    built only when det Q = 0, and is None otherwise.
     """
 
     entries: Matrix
     magnitudes: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
     sweep: Sweep
     form: Optional[Matrix]
 
@@ -58,22 +55,18 @@ def linking_matrix(diagram: SurgeryDiagram) -> GeneralizedLinkingMatrix:
     for i, (p, _) in enumerate(slopes):
         rows[i][i] = p
     entries = tuple(map(tuple, rows))
-    weighted = [[m * x for x in row] for m, row in zip(magnitudes, rows)]
-    # A knot whose lk vector does not fit Q has no solve; invariant_report refuses it.
-    lks = (w.lk for w in diagram.knots if len(w.lk) == diagram.k)
-    vectors = (tuple(c.rot for c in diagram.components), *lks)
-    sweep = exactlin.symmetric_signature(weighted, [[m * x for m, x in zip(magnitudes, v)] for v in vectors])
+    sweep = exactlin.symmetric_signature([[m * x for x in row] for m, row in zip(magnitudes, rows)])
     form = None if sweep.det else exactlin.echelon_form(entries)
-    return GeneralizedLinkingMatrix(entries, magnitudes, vectors, sweep, form)
+    return GeneralizedLinkingMatrix(entries, magnitudes, sweep, form)
 
 
 def solve(q: GeneralizedLinkingMatrix, vector: Sequence[int]) -> Optional[SolveResult]:
-    """The minimal-order solve of Q*a = d*v (exactlin.SolveResult) for v in
-    q.vectors, or None when v has no rational preimage.  When det Q != 0 it
-    is read off the sweep; otherwise minimal_order_solve substitutes v into
-    Q's echelon form."""
+    """The minimal-order solve of Q*a = d*v (exactlin.SolveResult), or None
+    when v has no rational preimage.  When det Q != 0 the sweep solves
+    S*a = d*diag(m)*v; otherwise minimal_order_solve substitutes v into Q's
+    echelon form."""
     if q.form is None:
-        return q.sweep.solutions[q.vectors.index(tuple(vector))]
+        return q.sweep.solve([m * x for m, x in zip(q.magnitudes, vector, strict=True)])
     return exactlin.minimal_order_solve(q.form, vector)
 
 

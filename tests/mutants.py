@@ -115,7 +115,7 @@ CATALOGUE = [
            (ACCEPTANCE + "test_d3_unknot_family", D3 + "TestPm1Formula::test_expanded_plus_half",
             D3 + "TestPm1Formula::test_expanded_minus_half")),
     # the sweep runs on Q instead of diag(m) * Q, which is not symmetric when some m > 1
-    Mutant("src/surgeon/surgery.py", "weighted = [[m * x", "weighted = [[x",
+    Mutant("src/surgeon/surgery.py", "symmetric_signature([[m * x", "symmetric_signature([[x",
            (ACCEPTANCE + "test_signature_relation_randomized",)),
     # the kernel shifts pair with lk instead of rot
     Mutant("src/surgeon/invariants.py", "pairing(v, rots)", "pairing(v, knot.lk)",
@@ -124,12 +124,15 @@ CATALOGUE = [
     Mutant("src/surgeon/exactlin.py", "for r in form[rank:])", "for r in form[rank - 1:])",
            (ACCEPTANCE + "test_solution_independence",)),
     Mutant("src/surgeon/fronts.py", "writhe[a] += sign", "writhe[a] -= sign", (ACCEPTANCE + "test_front_anchors",)),
-    # the sweep: a repair's row add skips the right-hand sides
-    Mutant("src/surgeon/exactlin.py", "            rhs[r] = [x + y for x, y in zip(rhs[r], rhs[o])]\n", "",
+    # the replay: a repair's row add skips the right-hand side
+    Mutant("src/surgeon/exactlin.py", "b[r] = exact(r) + exact(o)", "b[r] = exact(r)",
            (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
-    # the sweep: back substitution drops a repair's column add
+    # the replay: back substitution drops a repair's column add
     Mutant("src/surgeon/exactlin.py", "                y[o] += y[r]", "                pass",
            (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
+    # the replay runs on v instead of diag(m)*v, a solve of diag(m)*Q*a = d*v
+    Mutant("src/surgeon/surgery.py", "q.sweep.solve([m * x for", "q.sweep.solve([x for",
+           (SWEEP_PATH + "test_differential",)),
     # the presentation builds the echelon form of [Q^T | I] for every Q, so every solve substitutes into it
     Mutant("src/surgeon/surgery.py", "form = None if sweep.det else exactlin.echelon_form(entries)",
            "form = exactlin.echelon_form(entries)",
@@ -139,9 +142,9 @@ CATALOGUE = [
     Mutant("src/surgeon/surgery.py", "exactlin.image_echelon(q.entries) if q.form is None",
            "exactlin.echelon_form(q.entries) if q.form is None",
            (CLI + "TestD3Command::test_one_echelon_form_per_linking_matrix[trefoil_chain_rot2.json-1]",)),
-    # the sweep carries 2*w for each column w: its intermediates outgrow Hadamard's bound on [S | W]
-    Mutant("src/surgeon/exactlin.py", "rhs = {i: [w[i] for w in columns] for i in rows}",
-           "rhs = {i: [2 * w[i] for w in columns] for i in rows}",
+    # the replay runs on 2*w: its intermediates outgrow Hadamard's bound on [S | W]
+    Mutant("src/surgeon/exactlin.py", "b, last, pivots, tops = list(column),",
+           "b, last, pivots, tops = [2 * x for x in column],",
            (EXACTLIN + "TestSweep::test_intermediates_within_hadamard_bound",)),
     # the Euler class reads as torsion even where Q*b = rot has no solution
     Mutant("src/surgeon/d3.py", "return self.b is not None", "return True", (CLI + "TestD3Command::test_non_torsion",)),

@@ -303,7 +303,7 @@ class TestD3Command:
     ("d3", "trefoil_chain_rot2.json", 1),
     # The expansion has its own Q.
     ("d3", "unknot_plus1_over_2.json", 2),
-    # One sweep carries the lk vectors of all knots the command reports.
+    # One sweep solves for the lk vectors of all knots the command reports.
     ("invariants", "trefoil_chain_rot2.json", 1),
 ])
 def test_one_linking_matrix_per_command(capsys, monkeypatch, command, name, builds):

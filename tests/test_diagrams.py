@@ -188,7 +188,7 @@ RECORDS = {
     "SNFDecomposition": lambda: surgeon.smith_normal_form([[2, 4], [6, 8]]),
     "SolveResult": lambda: surgeon.minimal_order_solve(surgeon.exactlin.echelon_form([[2, 4]]), [3]),
     "SurgeryDiagram": demo_diagram,
-    "Sweep": lambda: surgeon.symmetric_signature([[2, 1], [1, 0]], [[1, 1]]),
+    "Sweep": lambda: surgeon.symmetric_signature([[2, 1], [1, 0]]),
 }
 
 

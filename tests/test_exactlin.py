@@ -423,21 +423,23 @@ def hadamard_square(matrix, columns):
                 for i, row in enumerate(matrix))
 
 
-# The sweep's locals that hold indices, counts or the caller's input, not
-# values; every other local is checked, so a new value local is too.
-INDEX_LOCALS = {"matrix", "columns", "n", "r", "o", "i", "j", "size", "n_minus", "inertia", "last",
-                "pivotable", "steps"}
+# The locals of the sweep and its replay that hold indices, counts or the
+# caller's input, not values; every other local is checked, so a new value
+# local is too.
+INDEX_LOCALS = {"matrix", "column", "self", "n", "r", "o", "i", "j", "size", "n_minus", "inertia", "last",
+                "pivotable", "steps", "step", "columns"}
 
 
 def sweep_intermediates(matrix, columns):
-    """Run symmetric_signature(matrix, columns) and collect every integer its
-    frame holds at each line it runs and at its return: the rows, their
-    right-hand sides, the pivots, the stored pivot rows and the back
-    substitution.  Returns (sweep, integers, repairs), where repairs counts
-    the (r, o) steps the sweep recorded."""
+    """Run symmetric_signature(matrix) and Sweep.solve on each column, and
+    collect every integer their frames hold at each line they run and at
+    their return: the rows, the right-hand sides, the pivots, the stored
+    pivot rows and the back substitution.  Returns (sweep, solutions,
+    integers, repairs), where repairs counts the (r, o) steps the sweep
+    recorded."""
     import sys
 
-    code, seen, final = surgeon.exactlin.symmetric_signature.__code__, [], {}
+    codes, seen = {surgeon.exactlin.symmetric_signature.__code__, surgeon.exactlin.Sweep.solve.__code__}, []
 
     def walk(value):
         if isinstance(value, int) and not isinstance(value, bool):
@@ -453,22 +455,23 @@ def sweep_intermediates(matrix, columns):
         if event in ("line", "return"):
             names = frame.f_locals
             walk([v for name, v in names.items() if name not in INDEX_LOCALS])
-            walk([step[1:] for step in names.get("steps", ()) if len(step) == 4])  # (r, pivot, row, rhs)
-            final.update(names)
+            walk([(step[1], step[3]) for step in names.get("steps", ()) if len(step) == 4])  # (pivot, entries)
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
     try:
-        sweep = symmetric_signature(matrix, columns)
+        sweep = symmetric_signature(matrix)
+        solutions = [sweep.solve(w) for w in columns]
     finally:
         sys.settrace(previous)
-    return sweep, seen, sum(len(step) == 2 for step in final["steps"])
+    return sweep, solutions, seen, sum(len(step) == 2 for step in sweep.steps)
 
 
 class TestSweep:
-    """The solves that symmetric_signature carries, against rational
-    elimination, and the sizes of everything it computes."""
+    """The solves that Sweep.solve replays off symmetric_signature's
+    record, against rational elimination, and the sizes of everything
+    they compute."""
 
     FAMILIES = ("sparse", "zero-diagonal", "uniform", "gram")
 
@@ -485,18 +488,18 @@ class TestSweep:
             yield matrix, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))]
 
     def test_solves_against_rational_elimination(self):
-        # Zero diagonals and permuted blocks make the sweep repair, so its
-        # right-hand sides take the row adds and its solutions the column adds.
+        # Zero diagonals and permuted blocks make the sweep repair, so the
+        # replayed right-hand sides take the row adds and the solutions the
+        # column adds.
         solved = 0
         for matrix, columns in self.draws(random.Random("sweep-solves"), 800):
-            sweep = symmetric_signature(matrix, columns)
+            sweep = symmetric_signature(matrix)
             assert sweep.det == fraction_det(matrix)
             if not sweep.det:
-                assert sweep.solutions is None
+                assert all(sweep.solve(w) is None for w in columns)
                 continue
-            assert len(sweep.solutions) == len(columns)
-            for w, result in zip(columns, sweep.solutions):
-                x = rational_gauss_solve(matrix, w)
+            for w in columns:
+                result, x = sweep.solve(w), rational_gauss_solve(matrix, w)
                 assert result.order == lcm(*(v.denominator for v in x))
                 assert list(result.particular) == [v * result.order for v in x]
                 assert result.kernel_basis == ()
@@ -505,7 +508,7 @@ class TestSweep:
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="^column length does not match matrix$"):
-            symmetric_signature([[1, 0], [0, 1]], [[1]])
+            symmetric_signature([[1, 0], [0, 1]]).solve([1])
 
     def test_intermediates_within_hadamard_bound(self):
         """Every intermediate, right-hand sides included, is a minor of
@@ -517,10 +520,11 @@ class TestSweep:
         repaired = 0
         for matrix, columns in self.draws(random.Random("sweep-sizes"), 150):
             bound = hadamard_square(matrix, columns)
-            sweep, seen, repairs = sweep_intermediates(matrix, columns)
+            sweep, solutions, seen, repairs = sweep_intermediates(matrix, columns)
             assert max(x * x for x in seen) <= 16 ** repairs * bound
-            for result in sweep.solutions or ():
-                assert max((x * x for x in (result.order, *result.particular))) <= bound
+            for result in solutions:
+                if result is not None:
+                    assert max((x * x for x in (result.order, *result.particular))) <= bound
             repaired += repairs > 0
         assert repaired >= 30
 

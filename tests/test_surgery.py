@@ -147,7 +147,7 @@ def bare(entries):
     form, so H_1 eliminates Q^T alone.  Q need not be symmetric, so there
     is no sweep."""
     entries = tuple(map(tuple, entries))
-    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), (), None, None)
+    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), None, None)
 
 
 class TestHomologyAgainstSmithForm:
@@ -288,12 +288,13 @@ class TestSweepAgainstEchelonPath:
     m-ladder expansions."""
 
     @staticmethod
-    def compare(q, chain=False) -> bool:
-        """Compare the two paths on q; returns whether det Q != 0."""
+    def compare(diagram, chain=False) -> bool:
+        """Compare the two paths on the diagram; returns whether det Q != 0."""
+        q = linking_matrix(diagram)
         if not q.sweep.det:
             return False
         forced = q._replace(form=echelon_form(q.entries))
-        for v in q.vectors:
+        for v in (tuple(c.rot for c in diagram.components), *(w.lk for w in diagram.knots)):
             assert solve(q, v) == solve(forced, v)
         assert homology(q) == homology(forced)
         weighted = [[m * x for x in row] for m, row in zip(q.magnitudes, q.entries)]
@@ -312,7 +313,7 @@ class TestSweepAgainstEchelonPath:
         for count, chain, draw in families:
             compared = 0
             while compared < count:
-                compared += self.compare(linking_matrix(draw()), chain)
+                compared += self.compare(draw(), chain)
 
 
 def test_solve_reads_the_sweep():
