@@ -415,7 +415,6 @@ class TestSignature:
         assert inertia == tridiagonal_signature(matrix)
 
 
-
 def hadamard_square(matrix, columns):
     """The square of Hadamard's bound on every minor of [S | W]: the
     product over the rows of max(1, |row|^2)."""
