@@ -12,7 +12,7 @@ formula of Ding, Geiges and Stipsicz, 1/4 * (<b, rot> - 3 sigma(Q) - 2k)
 expands (sigma(Q) comes from diag(m)*Q).  `d3_report` reads the Euler
 class, b, d3 and H_1 off one presentation of the diagram: one linking
 matrix, whose one sweep of diag(m)*Q gives sigma(Q) and, when det Q != 0,
-the solve (else its echelon form does), and one Smith diagonal; b = a / d
+the solve (else its echelon form does), and `surgery.homology`; b = a / d
 for the solution of Q*a = d*rot by `surgery.solve`.
 
 Non-torsion Euler class makes d3 undefined; that is a legitimate outcome

@@ -1,43 +1,33 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular transforms, one minimal-order integer
+Smith normal form with unimodular transforms, the torsion of a lattice
+quotient modulo a multiple of its exponent, one minimal-order integer
 solve with its kernel basis, and one fraction-free sweep of a symmetric
 matrix that gives its signature, its determinant and, when that is
-nonzero, its solves.
+nonzero, its solves.  Matrices are sequences of rows of Python integers,
+and no floating point is used anywhere.
 
-Matrices are sequences of rows of Python integers.  Everything runs on
-arbitrary-precision integers and no floating point is used anywhere.  The
-sweep, `symmetric_signature`, is a Bareiss congruence elimination on
-sparse rows, and `Sweep.solve` replays its record on a right-hand side;
+The sweep, `symmetric_signature`, is a Bareiss congruence elimination on
+sparse rows, and `sweep_solve` replays its record on a right-hand side;
 every intermediate of both is a minor, so Hadamard's bound limits its
-size.  A singular matrix has no unique solution, and there the row
-Hermite normal form `_hermite_rows` does the integer work: one echelon
-form of [M^T | I] (`echelon_form`), the same elimination with only its
-kernel rows back-reduced, serves `minimal_order_solve`, which takes it in
-place of M and only substitutes into its echelon rows.  The solve answers
-M*a = d*v with d minimal and a reduced modulo the Hermite kernel basis, so
-a and the rational solution a / d of M*b = v depend on (M, v) alone.  H_1
-reads echelon rows of M^T: `smith_diagonal` gets them transposed and so
-enters at the column pass, as their row elimination is done.  They are
-the image rows of `echelon_form`, or, when no kernel basis is needed, the
-rows of `image_echelon`, which eliminates M^T alone.  `smith_normal_form`
-(with transforms, after Kannan and Bachem) is kept for library callers
-and the benchmark's probe.  The image rows keep the elimination's
-entries.  On small random matrices their
-largest bit length differs from the fully reduced Hermite form's by a few
-bits either way; on dense random linking matrices with k = 6/10/20/35/50
-both reach 8/8/39/84/127 bits, and 21 bits on a clasped chain of k = 50.
-Back-reduction bounds the entries of the Smith passes and of D by their
-pivots.  The transforms are not size-reduced: on dense random 50 x 50
-linking matrices (seeds 1-6), whose largest invariant factor has 127-135
-bits, U reaches 126-259 bits and V 127-134.
+size.  A singular matrix M has no unique solution; there one echelon form
+of [M^T | I] (`echelon_form`, a row Hermite elimination) serves
+`minimal_order_solve`, which answers M*a = d*v with d minimal and a
+reduced modulo the Hermite kernel basis, so a and a / d depend on (M, v)
+alone.  `torsion_factors` eliminates modulo a multiple P of the torsion
+exponent (Domich, Kannan and Trotter; Hafner and McCurley), so every entry
+it holds is below P by design.  `smith_normal_form` (after Kannan and
+Bachem) is kept for library callers and the benchmark's probe; its
+transforms are not size-reduced: on dense random 50 x 50 linking matrices
+(seeds 1-6), whose largest invariant factor has 127-135 bits, U reaches
+126-259 bits and V 127-134.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -46,10 +36,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def _as_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     rows = [list(row) for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
     return rows
 
 
@@ -92,32 +80,18 @@ def _hermite_rows(vectors: Sequence[Sequence[int]], reduce_from: int = 0) -> lis
     the same.
     """
     rows = [list(v) for v in vectors]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(ncols):
-        if pivot_row >= len(rows):
-            break
-        # Reduce column entries against each other until one survives.
-        while True:
-            candidates = [i for i in range(pivot_row, len(rows)) if rows[i][col] != 0]
-            if not candidates:
-                break
+    pivot_row, pivot_cols = 0, []
+    for col in range(len(rows[0]) if rows else 0):
+        # Reduce column entries against the smallest until one survives.
+        while candidates := [i for i in range(pivot_row, len(rows)) if rows[i][col]]:
             i0 = min(candidates, key=lambda i: abs(rows[i][col]))
             rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
-            done = True
-            for i in range(pivot_row + 1, len(rows)):
-                if rows[i][col] == 0:
-                    continue
-                q = rows[i][col] // rows[pivot_row][col]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                if rows[i][col] != 0:
-                    done = False
-            if done:
+            if len(candidates) == 1:
                 break
-        if pivot_row < len(rows) and rows[pivot_row][col] != 0:
+            for i in range(pivot_row + 1, len(rows)):
+                if q := rows[i][col] // rows[pivot_row][col]:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
+        if candidates:
             if rows[pivot_row][col] < 0:
                 rows[pivot_row] = [-x for x in rows[pivot_row]]
             pivot_cols.append((pivot_row, col))
@@ -125,8 +99,7 @@ def _hermite_rows(vectors: Sequence[Sequence[int]], reduce_from: int = 0) -> lis
     first = next((r for r, col in pivot_cols if col >= reduce_from), len(pivot_cols))
     for r, col in pivot_cols[first:]:
         for i in range(first, r):
-            q = rows[i][col] // rows[r][col]
-            if q:
+            if q := rows[i][col] // rows[r][col]:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
     return rows
 
@@ -148,8 +121,8 @@ def _smith(D: list[list[int]], U: list[list[int]], Vt: list[list[int]]):
     += column j makes them (gcd, lcm), its U and V^T acting on rows i and j
     of U and V^T; d_i then divides d_i+1..d_j, and an earlier d_h both.  That
     2 x 2 form is this loop's, with no repair: [[d_i, 0], [d_j, d_j]] takes
-    one pass pair to diag(g, d_i d_j / g), and g divides d_i d_j / g.  With
-    zero-width rows U and V^T carry no transforms.  Returns (D, U, V^T).
+    one pass pair to diag(g, d_i d_j / g), and g divides d_i d_j / g.
+    Returns (D, U, V^T).
     """
     nrows, ncols = len(U), len(Vt)
     while True:
@@ -178,13 +151,64 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFDecomposition:
     return SNFDecomposition(_freeze(U), _freeze(D), _freeze(_transpose(Vt, ncols)))
 
 
-def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The diagonal of smith_normal_form(matrix), by the same loop without
-    transforms."""
-    D = _as_rows(matrix)
-    ncols = len(D[0]) if D else 0
-    D = _smith(D, [[]] * len(D), [[]] * ncols)[0]
-    return tuple(D[i][i] for i in range(min(len(D), ncols)))
+def _step(lines, cross, a, b, key, modulus: int) -> None:
+    """A unimodular 2 x 2 step on lines a and b of a sparse matrix modulo P
+    taking their entries (p, q) at `key` to (g, 0), mirrored in `cross`, the
+    matrix by its other index.  If d = gcd(p, P) divides q, line b -= e*a
+    for e*p = q mod P; else the Bezout step: gcd(g, P) properly divides d."""
+    x, y = lines[a], lines[b]
+    p, q = x[key], y[key]
+    if q % (d := gcd(p, modulus)):
+        s = pow(p // (g := gcd(p, q)), -1, q // g)
+        coefficients = {a: (s, (g - s * p) // q), b: (q // g, -(p // g))}
+    else:
+        coefficients = {b: (-(q // d) * pow(p // d, -1, modulus // d), 1)}
+    new = {i: {j: w for j in x.keys() | y.keys() if (w := (f * x.get(j, 0) + h * y.get(j, 0)) % modulus)}
+           for i, (f, h) in coefficients.items()}
+    for i, line in new.items():
+        for j in lines[i].keys() - line.keys():
+            del cross[j][i]
+        for j, w in line.items():
+            cross[j][i] = w
+        lines[i] = line
+
+
+def torsion_factors(matrix: Sequence[Sequence[int]], modulus: int) -> tuple[int, ...]:
+    """The invariant factors > 1, each dividing the next, of Z^n / (L + P*Z^n)
+    for the row lattice L of the n-column matrix and P = `modulus` > 0: those
+    of Z^n / L when P*Z^n lies in L, and for a multiple P of its torsion
+    exponent those and then one P per free summand.  Smith elimination by
+    `_step` on sparse rows and columns, every entry in [0, P): the pivot, of
+    least gcd with P in the sparsest row, clears its column and the entries
+    of its row that d = gcd(pivot, P) does not divide (each making d a proper
+    divisor), then splits off Z/d; each column left gives Z/P.  (gcd, lcm) on
+    every pair i < j of the orders chains them."""
+    rows = dict(enumerate({j: x % modulus for j, x in enumerate(row) if x % modulus}
+                          for row in _as_rows(matrix)))
+    cols: dict[int, dict[int, int]] = {j: {} for j in range(len(matrix[0]) if rows else 0)}
+    for i, j in [(i, j) for i, row in rows.items() for j in row]:
+        cols[j][i] = rows[i][j]
+    orders, sparsest = [], sorted((len(row), i) for i, row in rows.items())  # a sorted list is a heap
+    while sparsest:
+        size, r = heappop(sparsest)
+        if size != len(rows[r]):  # a row that changed length is re-keyed when reached
+            heappush(sparsest, (len(rows[r]), r))
+        elif size:
+            c = min(rows[r], key=lambda j: (gcd(rows[r][j], modulus), len(cols[j])))
+            while True:
+                for i in [i for i in cols[c] if i != r]:
+                    _step(rows, cols, r, i, c, modulus)
+                for j in [j for j, x in rows[r].items() if x % gcd(rows[r][c], modulus)]:
+                    _step(cols, rows, c, j, r, modulus)
+                if len(cols[c]) == 1:
+                    break
+            orders.append(gcd(rows[r][c], modulus))
+            for j in rows.pop(r):
+                del cols[j][r]
+    orders = [x for x in orders + [modulus] * (len(cols) - len(orders)) if x > 1]
+    for i, j in combinations(range(len(orders)), 2):
+        orders[i], orders[j] = gcd(orders[i], orders[j]), lcm(orders[i], orders[j])
+    return tuple(x for x in orders if x > 1)
 
 
 class SolveResult(NamedTuple):
@@ -206,28 +230,14 @@ def echelon_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     """Row echelon form of [M^T | I] with its kernel rows in Hermite form.
 
     Each row (h, u) satisfies M*u = h.  The rows with h != 0 come first and
-    are an echelon basis H of the image lattice with positive pivots, whose
-    Smith diagonal holds the invariant factors of M; they keep the
-    elimination's entries, as nothing reads them reduced.  The others are
-    the Hermite-reduced basis of the integer kernel, unique for M.
+    are an echelon basis of the image lattice with positive pivots, which
+    keep the elimination's entries.  The others are the Hermite-reduced
+    basis of the integer kernel, unique for M.
     """
     rows = _as_rows(matrix)
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     stacked = [c + e for c, e in zip(_transpose(rows, ncols), _identity(ncols))]
     return _freeze(_hermite_rows(stacked, reduce_from=nrows))
-
-
-def image_echelon(matrix: Sequence[Sequence[int]]) -> Matrix:
-    """The h-block of echelon_form(matrix), by eliminating M^T alone.
-
-    No choice of the elimination reads the identity block, and the
-    back-reduction runs only among the kernel rows, so the rows with h != 0
-    are the same; zero rows trail.  It skips the transform that only the
-    kernel basis and the solve need.
-    """
-    rows = _as_rows(matrix)
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    return _freeze(_hermite_rows(_transpose(rows, ncols), reduce_from=nrows))
 
 
 def minimal_order_solve(form: Matrix, vector: Sequence[int]) -> Optional[SolveResult]:
@@ -275,67 +285,17 @@ class Sweep(NamedTuple):
     `steps` records the eliminations in sweep order: (r, o) for a repair
     that adds row and column o to row and column r, and (r, pivot, columns,
     entries) for a pivot on row r, whose other nonzeros a_rj are `entries`
-    at `columns`.  `solve` replays them on a right-hand side.
+    at `columns`.  `sweep_solve` replays them on a right-hand side.
     """
 
     inertia: tuple[int, int, int]
     det: int
     steps: tuple[tuple, ...]
 
-    def solve(self, column: Sequence[int]) -> Optional[SolveResult]:
-        """The solve of S*a = d*w with d minimal when det S != 0, else None.
-
-        The solution x = S^-1 w is unique, so d is its common denominator,
-        a = d*x and the kernel basis is empty.  The replay runs the sweep's
-        eliminations on w as it runs them on a row: a repair's row add
-        b_r += b_o, and at each pivot p the update (p*b_i - a_ir*b_r) / p_prev
-        on the rows the pivot row lists (a_ir = a_ri, by symmetry) and the
-        scaling p / p_prev, kept lazy, on the others.  So every b_i is a
-        minor of [T*S*T^T | T*w], as the rows are.  The repair is the
-        congruence T*S*T^T with T = I + e_r e_o^T, so the solution x' of the
-        repaired system gives x = T^T x', the column add x_o += x_r.  Back
-        substitution over the pivot rows, in reverse, gives y = det S * x in
-        integers (Cramer), each division exact, with each repair's column add
-        applied where it was made.
-        """
-        if len(column) != sum(self.inertia):
-            raise ValueError("column length does not match matrix")
-        if not self.det:
-            return None
-        b, last, pivots, tops = list(column), [0] * len(column), [1], []
-
-        def exact(i: int) -> int:
-            if last[i] != len(pivots) - 1:
-                b[i] = b[i] * pivots[-1] // pivots[last[i]]
-                last[i] = len(pivots) - 1
-            return b[i]
-
-        for step in self.steps:
-            if len(step) == 2:
-                r, o = step
-                b[r] = exact(r) + exact(o)
-                continue
-            r, pivot, columns, entries = step
-            tops.append(exact(r))
-            for i, f in zip(columns, entries):
-                b[i] = (pivot * exact(i) - f * tops[-1]) // pivots[-1]
-                last[i] = len(pivots)
-            pivots.append(pivot)
-        y = [0] * len(b)  # det * x
-        for step in reversed(self.steps):
-            if len(step) == 2:
-                r, o = step
-                y[o] += y[r]
-            else:
-                r, pivot, columns, entries = step
-                y[r] = (self.det * tops.pop() - sum(map(mul, map(y.__getitem__, columns), entries))) // pivot
-        g = gcd(self.det, *y) * (1 if self.det > 0 else -1)
-        return SolveResult(self.det // g, tuple(x // g for x in y), ())
-
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Sweep:
     """Exact inertia and determinant of a symmetric integer matrix S, and
-    the record of its elimination that Sweep.solve replays.
+    the record of its elimination that `sweep_solve` replays.
 
     Fraction-free (Bareiss) congruence elimination on rows kept as dicts of
     their nonzeros.  Each step pivots on the nonzero diagonal entry of the
@@ -365,8 +325,7 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Sweep:
 
     rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(a)}
     last = dict.fromkeys(rows, 0)  # the number of pivots after which each row was exact
-    pivots = [1]
-    steps = []
+    pivots, steps = [1], []
     pivotable = [(len(row), i) for i, row in rows.items() if i in row]  # stale entries are skipped
     heapify(pivotable)
 
@@ -416,3 +375,54 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Sweep:
         pivots.append(pivot)
     inertia = (len(pivots) - 1 - n_minus, n + 1 - len(pivots), n_minus)
     return Sweep(inertia, pivots[-1] if len(pivots) == n + 1 else 0, tuple(steps))
+
+
+def sweep_solve(sweep: Sweep, column: Sequence[int]) -> Optional[SolveResult]:
+    """The solve of S*a = d*w with d minimal for the swept S if det S != 0, else None.
+
+    The solution x = S^-1 w is unique, so d is its common denominator,
+    a = d*x and the kernel basis is empty.  The replay runs the sweep's
+    eliminations on w as it runs them on a row: a repair's row add
+    b_r += b_o, and at each pivot p the update (p*b_i - a_ir*b_r) / p_prev
+    on the rows the pivot row lists (a_ir = a_ri, by symmetry) and the
+    scaling p / p_prev, kept lazy, on the others.  So every b_i is a
+    minor of [T*S*T^T | T*w], as the rows are.  The repair is the
+    congruence T*S*T^T with T = I + e_r e_o^T, so the solution x' of the
+    repaired system gives x = T^T x', the column add x_o += x_r.  Back
+    substitution over the pivot rows, in reverse, gives y = det S * x in
+    integers (Cramer), each division exact, with each repair's column add
+    applied where it was made.
+    """
+    if len(column) != sum(sweep.inertia):
+        raise ValueError("column length does not match matrix")
+    if not sweep.det:
+        return None
+    b, last, pivots, tops = list(column), [0] * len(column), [1], []
+
+    def exact(i: int) -> int:
+        if last[i] != len(pivots) - 1:
+            b[i] = b[i] * pivots[-1] // pivots[last[i]]
+            last[i] = len(pivots) - 1
+        return b[i]
+
+    for step in sweep.steps:
+        if len(step) == 2:
+            r, o = step
+            b[r] = exact(r) + exact(o)
+            continue
+        r, pivot, columns, entries = step
+        tops.append(exact(r))
+        for i, f in zip(columns, entries):
+            b[i] = (pivot * exact(i) - f * tops[-1]) // pivots[-1]
+            last[i] = len(pivots)
+        pivots.append(pivot)
+    y = [0] * len(b)  # det * x
+    for step in reversed(sweep.steps):
+        if len(step) == 2:
+            r, o = step
+            y[o] += y[r]
+        else:
+            r, pivot, columns, entries = step
+            y[r] = (sweep.det * tops.pop() - sum(map(mul, map(y.__getitem__, columns), entries))) // pivot
+    g = gcd(sweep.det, *y) * (1 if sweep.det > 0 else -1)
+    return SolveResult(sweep.det // g, tuple(x // g for x in y), ())

@@ -4,13 +4,14 @@ The generalized linking matrix of a diagram has the topological surgery
 slopes p_i on the diagonal and q_j * lk(L_i, L_j) off it, written in the
 meridian basis.  It presents the first homology of the surgered manifold.
 `linking_matrix` builds a diagram's one presentation: Q, one fraction-free
-sweep of S = diag(m)*Q, whose record `solve` replays on each right-hand
-side, and, only when det Q = 0, the echelon form of [Q^T | I] for the
-kernel basis.  Every solve, H_1 and the signature of this package read it.
+sweep of S = diag(m)*Q, whose record exactlin.sweep_solve replays on each
+right-hand side, and, only when det Q = 0, the echelon form of [Q^T | I]
+for the kernel basis.  Every solve, H_1 and the signature read it.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from . import diagrams, exactlin
@@ -66,7 +67,7 @@ def solve(q: GeneralizedLinkingMatrix, vector: Sequence[int]) -> Optional[SolveR
     S*a = d*diag(m)*v; otherwise minimal_order_solve substitutes v into Q's
     echelon form."""
     if q.form is None:
-        return q.sweep.solve([m * x for m, x in zip(q.magnitudes, vector, strict=True)])
+        return exactlin.sweep_solve(q.sweep, [m * x for m, x in zip(q.magnitudes, vector, strict=True)])
     return exactlin.minimal_order_solve(q.form, vector)
 
 
@@ -79,14 +80,18 @@ class HomologyPresentation(NamedTuple):
 
 
 def homology(q: GeneralizedLinkingMatrix) -> HomologyPresentation:
-    """H_1: the entries > 1 and the zeros (the free rank) of the Smith diagonal
-    of the echelon rows H of Q^T: the h-block of Q's echelon form when it
-    was built, else exactlin.image_echelon(Q), the same rows without the
-    transform.  The loop starts on H^T, so that it enters at the column
-    pass: H's rows are in echelon form already."""
-    rows = exactlin.image_echelon(q.entries) if q.form is None else (r[:q.k] for r in q.form)
-    diagonal = exactlin.smith_diagonal(list(zip(*rows)))
-    return HomologyPresentation(tuple(d for d in diagonal if d > 1), diagonal.count(0))
+    """H_1 = Z^k / (rows of Q), by exactlin.torsion_factors modulo a multiple
+    P of its torsion exponent: |det Q| = |det S| / prod(m) when det Q != 0,
+    else the product of the form's image pivots, which the product of the
+    invariant factors, the gcd of the rank-size minors, divides.  Its last
+    k - rank factors, each P, are the free summands."""
+    if q.form is None:
+        modulus, rank = abs(q.sweep.det) // prod(q.magnitudes), q.k
+    else:
+        pivots = [next(filter(None, r[:q.k])) for r in q.form if any(r[:q.k])]
+        modulus, rank = prod(pivots), len(pivots)
+    factors = exactlin.torsion_factors(q.entries, modulus)
+    return HomologyPresentation(factors[:rank - q.k or None], q.k - rank)
 
 
 def expand_to_pm1(diagram: SurgeryDiagram) -> SurgeryDiagram:

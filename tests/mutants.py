@@ -29,8 +29,9 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
-    Mutant("src/surgeon/surgery.py", "exactlin.smith_diagonal(list(zip(*rows)))",
-           "exactlin.smith_normal_form(list(zip(*rows))).diagonal",
+    # H_1 from the Smith form with transforms
+    Mutant("src/surgeon/surgery.py", "factors = exactlin.torsion_factors(q.entries, modulus)",
+           "factors = tuple(d for d in exactlin.smith_normal_form(q.entries).diagonal if d > 1)",
            (CLI + "test_no_command_runs_the_smith_form_with_transforms[d3-trefoil_chain_rot2]",
             CLI + "test_no_command_runs_the_smith_form_with_transforms[d3-unknot_plus1_over_2]")),
     # _smith returns right after the passes, with no divisibility chain
@@ -40,14 +41,14 @@ CATALOGUE = [
     Mutant("src/surgeon/exactlin.py", "for i, j in combinations(range(rank), 2):",
            "for i, j in zip(range(rank), range(1, rank)):",
            (SMITH_HOMOLOGY + "test_dense", SMITH_HOMOLOGY + "test_non_dividing_family",
-            SURGERY + "test_homology_repairs_divisibility_on_the_diagonal")),
+            EXACTLIN + "TestEchelonForm::test_seeded_square_rectangular_and_singular")),
     # the 2 x 2 repair updates D but not the rows of U and V^T
     Mutant("src/surgeon/exactlin.py", "E, (U[i], U[j]), (Vt[i], Vt[j]) = _smith(", "E, _, _ = _smith(",
            (EXACTLIN + "TestSmithNormalForm::test_random_matrices", SMITH_HOMOLOGY + "test_non_dividing_family",
             ACCEPTANCE + "test_solver_oracle_equivalence")),
     # the 2 x 2 repair without the column add recurses forever
     Mutant("src/surgeon/exactlin.py", "[[D[i][i], 0], [D[j][j], D[j][j]]]", "[[D[i][i], 0], [0, D[j][j]]]",
-           (SMITH_HOMOLOGY + "test_non_dividing_family", ACCEPTANCE + "test_d3_equality_randomized")),
+           (SMITH_HOMOLOGY + "test_non_dividing_family", EXACTLIN + "TestSmithNormalForm::test_diagonal_without_transforms")),
     # d3_report sweeps diag(m) * Q a second time for its signature
     Mutant("src/surgeon/d3.py", "        d3 = total / 4",
            "        q = surgery.linking_matrix(diagram)\n"
@@ -90,8 +91,18 @@ CATALOGUE = [
            (EXACTLIN + "TestSolvers::test_minimal_order_single",)),
     Mutant("src/surgeon/exactlin.py", "n_minus += (pivot > 0) != (prev > 0)", "n_minus += pivot < 0",
            (EXACTLIN + "TestSignature::test_against_fraction_elimination_and_char_poly[uniform]",)),
-    Mutant("src/surgeon/surgery.py", "tuple(d for d in diagonal if d > 1)", "tuple(d for d in diagonal if d > 2)",
+    Mutant("src/surgeon/exactlin.py", "return tuple(x for x in orders if x > 1)", "return tuple(x for x in orders if x > 2)",
            (SMITH_HOMOLOGY + "test_dense",)),
+    # H_1 eliminates without reducing modulo P
+    Mutant("src/surgeon/exactlin.py", "* x.get(j, 0) + h * y.get(j, 0)) % modulus)}", "* x.get(j, 0) + h * y.get(j, 0)))}",
+           (SURGERY + "test_homology_reduces_modulo_det",)),
+    # H_1 keeps the k - rank factors P of the free summands
+    Mutant("src/surgeon/surgery.py", "HomologyPresentation(factors[:rank - q.k or None]", "HomologyPresentation(factors",
+           (SMITH_HOMOLOGY + "test_singular_diagrams", SMITH_HOMOLOGY + "test_low_rank_products")),
+    # the torsion orders are chained along adjacent pairs only
+    Mutant("src/surgeon/exactlin.py", "for i, j in combinations(range(len(orders)), 2):",
+           "for i, j in zip(range(len(orders)), range(1, len(orders))):",
+           ("tests/test_metamorphic.py::test_split_union", SMITH_HOMOLOGY + "test_non_dividing_family")),
     # the worked examples, each killed by its criterion
     Mutant("src/surgeon/invariants.py", "return not self.seifert_shifts", "return False",
            (ACCEPTANCE + "test_homology_sphere_files",)),
@@ -128,19 +139,20 @@ CATALOGUE = [
     Mutant("src/surgeon/exactlin.py", "b[r] = exact(r) + exact(o)", "b[r] = exact(r)",
            (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
     # the replay: back substitution drops a repair's column add
-    Mutant("src/surgeon/exactlin.py", "                y[o] += y[r]", "                pass",
+    Mutant("src/surgeon/exactlin.py", "            y[o] += y[r]", "            pass",
            (EXACTLIN + "TestSweep::test_solves_against_rational_elimination", SWEEP_PATH + "test_differential")),
     # the replay runs on v instead of diag(m)*v, a solve of diag(m)*Q*a = d*v
-    Mutant("src/surgeon/surgery.py", "q.sweep.solve([m * x for", "q.sweep.solve([x for",
+    Mutant("src/surgeon/surgery.py", "exactlin.sweep_solve(q.sweep, [m * x for", "exactlin.sweep_solve(q.sweep, [x for",
            (SWEEP_PATH + "test_differential",)),
     # the presentation builds the echelon form of [Q^T | I] for every Q, so every solve substitutes into it
     Mutant("src/surgeon/surgery.py", "form = None if sweep.det else exactlin.echelon_form(entries)",
            "form = exactlin.echelon_form(entries)",
            (SURGERY + "test_solve_reads_the_sweep",
             CLI + "TestD3Command::test_cross_check_work[trefoil_chain_rot2.json-1-1]")),
-    # H_1 of a nonsingular Q from the echelon form of [Q^T | I]
-    Mutant("src/surgeon/surgery.py", "exactlin.image_echelon(q.entries) if q.form is None",
-           "exactlin.echelon_form(q.entries) if q.form is None",
+    # H_1 of a nonsingular Q modulo the image pivots of the echelon form of [Q^T | I]
+    Mutant("src/surgeon/surgery.py", "    if q.form is None:\n        modulus, rank = abs(q.sweep.det) // prod(q.magnitudes), q.k\n"
+           "    else:\n        pivots = [next(filter(None, r[:q.k])) for r in q.form if",
+           "    if True:\n        pivots = [next(filter(None, r[:q.k])) for r in q.form or exactlin.echelon_form(q.entries) if",
            (CLI + "TestD3Command::test_one_echelon_form_per_linking_matrix[trefoil_chain_rot2.json-1]",)),
     # the replay runs on 2*w: its intermediates outgrow Hadamard's bound on [S | W]
     Mutant("src/surgeon/exactlin.py", "b, last, pivots, tops = list(column),",

@@ -281,21 +281,22 @@ class TestD3Command:
         assert substituted == []
 
     @pytest.mark.parametrize("name,forms", [
-        # det Q != 0: H_1 reads the echelon rows of Q^T alone, and no
-        # [Q^T | I] form is built, as the sweep gives the solve.
+        # det Q != 0: H_1 reduces Q modulo |det Q|, and no [Q^T | I] form
+        # is built, as the sweep gives the solve.
         ("trefoil_chain_rot2.json", 1),
         # The expansion has its own Q, and the cross-check reads its H_1.
         ("unknot_plus1_over_2.json", 2),
-        # det Q = 0: one echelon form of [Q^T | I] serves the solve and H_1.
+        # det Q = 0: one echelon form of [Q^T | I] serves the solve and the
+        # modulus of H_1.
         ("nontorsion.json", 1),
     ])
     def test_one_echelon_form_per_linking_matrix(self, capsys, monkeypatch, name, forms):
         formed = count_calls(monkeypatch, surgeon.exactlin, "echelon_form")
-        imaged = count_calls(monkeypatch, surgeon.exactlin, "image_echelon")
+        factored = count_calls(monkeypatch, surgeon.exactlin, "torsion_factors")
         code, _, _ = run(capsys, "d3", str(DIAGRAMS / name))
         assert code == 0
         singular = name == "nontorsion.json"
-        assert (len(formed), len(imaged)) == ((forms, 0) if singular else (0, forms))
+        assert (len(formed), len(factored)) == ((forms, forms) if singular else (0, forms))
 
 
 @pytest.mark.parametrize("command,name,builds", [

@@ -13,7 +13,7 @@ from surgeon import (
     smith_normal_form,
     symmetric_signature,
 )
-from surgeon.exactlin import echelon_form, image_echelon, smith_diagonal
+from surgeon.exactlin import echelon_form, sweep_solve, torsion_factors
 
 from helpers import (
     bench_chain_diagram,
@@ -70,18 +70,24 @@ class TestSmithNormalForm:
             snf_invariants_hold(random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9))
 
     def test_ragged_matrix_rejected(self):
-        for fn in (smith_normal_form, smith_diagonal, echelon_form, image_echelon, symmetric_signature):
+        for fn in (smith_normal_form, echelon_form, symmetric_signature, lambda m: torsion_factors(m, 6)):
             with pytest.raises(ValueError, match="^ragged matrix$"):
                 fn([[1, 2], [3]])
 
     def test_diagonal_without_transforms(self):
-        # smith_diagonal runs the same loop with zero-width transforms.
+        # torsion_factors, with no transforms, modulo P = t * e for the
+        # largest invariant factor e: the diagonal's entries > 1, then one
+        # P per column past the rank.
         rng = random.Random(1204)
-        for _ in range(300):
-            matrix = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
-            assert smith_diagonal(matrix) == smith_normal_form(matrix).diagonal
-        for matrix in ([], [[], []], [[0, 0, 0]], DIVISIBILITY_5X3):
-            assert smith_diagonal(matrix) == smith_normal_form(matrix).diagonal
+        draws = [random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9) for _ in range(300)]
+        for matrix in draws + [[[0, 0, 0]], DIVISIBILITY_5X3, [[0] * 4 for _ in range(2)]]:
+            diagonal = smith_normal_form(matrix).diagonal
+            rank = sum(1 for d in diagonal if d)
+            for t in (1, 2, 15):
+                modulus = t * (max(diagonal) or 1)
+                free = (modulus,) * (len(matrix[0]) - rank) if modulus > 1 else ()
+                assert torsion_factors(matrix, modulus) == tuple(d for d in diagonal if d > 1) + free
+        assert torsion_factors([], 5) == torsion_factors([[], []], 5) == ()
 
 
 class TestSolvers:
@@ -150,8 +156,8 @@ class TestEchelonForm:
     """echelon_form(M) is a basis (h, u) of the lattice of pairs (M*u, u):
     the image rows (h != 0) first, in echelon form with positive pivots,
     then the kernel rows in Hermite form.  Its pivots and kernel rows are
-    those of the fully reduced Hermite form, and its h-block is
-    image_echelon(M), which eliminates M^T alone."""
+    those of the fully reduced Hermite form, and the product of its image
+    pivots is a multiple of every invariant factor of M."""
 
     @staticmethod
     def check(matrix):
@@ -169,8 +175,9 @@ class TestEchelonForm:
         assert all(r[p] > 0 for r, p in zip(form, pivots))
         for t in range(rank, ncols):
             assert all(0 <= form[i][pivots[t]] < form[t][pivots[t]] for i in range(rank, t))
-        assert smith_diagonal(h_block) == smith_diagonal(matrix)
-        assert image_echelon(matrix) == tuple(map(tuple, h_block))
+        diagonal = smith_normal_form(matrix).diagonal
+        assert smith_normal_form(h_block).diagonal == diagonal
+        assert all(prod(form[t][pivots[t]] for t in range(rank)) % d == 0 for d in diagonal if d)
         full = full_hermite_form(matrix)
         assert [r[p] for r, p in zip(full, pivots)] == [r[p] for r, p in zip(form, pivots)]
         assert [list(r) for r in form[rank:]] == full[rank:]
@@ -425,12 +432,12 @@ def hadamard_square(matrix, columns):
 # The locals of the sweep and its replay that hold indices, counts or the
 # caller's input, not values; every other local is checked, so a new value
 # local is too.
-INDEX_LOCALS = {"matrix", "column", "self", "n", "r", "o", "i", "j", "size", "n_minus", "inertia", "last",
+INDEX_LOCALS = {"matrix", "column", "sweep", "n", "r", "o", "i", "j", "size", "n_minus", "inertia", "last",
                 "pivotable", "steps", "step", "columns"}
 
 
 def sweep_intermediates(matrix, columns):
-    """Run symmetric_signature(matrix) and Sweep.solve on each column, and
+    """Run symmetric_signature(matrix) and sweep_solve on each column, and
     collect every integer their frames hold at each line they run and at
     their return: the rows, the right-hand sides, the pivots, the stored
     pivot rows and the back substitution.  Returns (sweep, solutions,
@@ -438,7 +445,7 @@ def sweep_intermediates(matrix, columns):
     recorded."""
     import sys
 
-    codes, seen = {surgeon.exactlin.symmetric_signature.__code__, surgeon.exactlin.Sweep.solve.__code__}, []
+    codes, seen = {surgeon.exactlin.symmetric_signature.__code__, surgeon.exactlin.sweep_solve.__code__}, []
 
     def walk(value):
         if isinstance(value, int) and not isinstance(value, bool):
@@ -461,14 +468,14 @@ def sweep_intermediates(matrix, columns):
     sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
     try:
         sweep = symmetric_signature(matrix)
-        solutions = [sweep.solve(w) for w in columns]
+        solutions = [sweep_solve(sweep, w) for w in columns]
     finally:
         sys.settrace(previous)
     return sweep, solutions, seen, sum(len(step) == 2 for step in sweep.steps)
 
 
 class TestSweep:
-    """The solves that Sweep.solve replays off symmetric_signature's
+    """The solves that sweep_solve replays off symmetric_signature's
     record, against rational elimination, and the sizes of everything
     they compute."""
 
@@ -495,10 +502,10 @@ class TestSweep:
             sweep = symmetric_signature(matrix)
             assert sweep.det == fraction_det(matrix)
             if not sweep.det:
-                assert all(sweep.solve(w) is None for w in columns)
+                assert all(sweep_solve(sweep, w) is None for w in columns)
                 continue
             for w in columns:
-                result, x = sweep.solve(w), rational_gauss_solve(matrix, w)
+                result, x = sweep_solve(sweep, w), rational_gauss_solve(matrix, w)
                 assert result.order == lcm(*(v.denominator for v in x))
                 assert list(result.particular) == [v * result.order for v in x]
                 assert result.kernel_basis == ()
@@ -507,7 +514,7 @@ class TestSweep:
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="^column length does not match matrix$"):
-            symmetric_signature([[1, 0], [0, 1]]).solve([1])
+            sweep_solve(symmetric_signature([[1, 0], [0, 1]]), [1])
 
     def test_intermediates_within_hadamard_bound(self):
         """Every intermediate, right-hand sides included, is a minor of

@@ -124,13 +124,14 @@ def test_tracer_installs_on_lazy_layers():
     """)
     assert result["missing"] == []
     assert result["ran"] == list(LAZY)
-    assert {"cli.main", "d3.d3_report", "surgery.solve", "exactlin.symmetric_signature", "surgery.homology",
-            "exactlin.image_echelon"} <= set(result["spans"])
+    assert {"cli.main", "d3.d3_report", "surgery.solve", "exactlin.symmetric_signature", "exactlin.sweep_solve",
+            "surgery.homology", "exactlin.torsion_factors"} <= set(result["spans"])
 
 
 def test_count_calls_loads_the_lazy_layers_first():
-    # Wrapping exactlin's image_echelon before any other layer loads counts
-    # each call once: `surgery`, loaded later, calls it through exactlin.
+    # Wrapping exactlin's torsion_factors before any other layer loads
+    # counts each call once: `surgery`, loaded later, calls it through
+    # exactlin.
     result = run_fresh(f"""
         import json
         import sys
@@ -141,7 +142,7 @@ def test_count_calls_loads_the_lazy_layers_first():
 
         assert state()["ran"] == []
         with pytest.MonkeyPatch.context() as monkeypatch:
-            formed = count_calls(monkeypatch, surgeon.exactlin, "image_echelon")
+            formed = count_calls(monkeypatch, surgeon.exactlin, "torsion_factors")
             assert surgeon.cli.main(["d3", {str(CHECKED_FILE)!r}]) == 0
         print(json.dumps(len(formed)))
     """)

@@ -10,6 +10,11 @@ known and compares the reports exactly:
 * Ding-Geiges cancellation: a +1 surgery on a Legendrian unknot L and a -1
   surgery on its push-off L', unlinked from the rest, cancel (Ding and
   Geiges, Math. Proc. Camb. Phil. Soc. 136, 2004);
+* a split union D1 + D2, side by side and unlinked, is surgery on the
+  connected sum: free ranks add, the invariant factors are those of both
+  lists together, and d3 = d3(D1) + d3(D2) + 1/2 when both Euler classes
+  are torsion (None otherwise), as the closed form's sums and sigma add
+  and its -1/2 is counted once;
 * the +-1 expansion keeps every companion's order, tb, rot and sl, so the
   1/n formulas agree with their +-1 case on the expanded diagram (rot and
   sl up to the reported shifts where the relative homology class is not
@@ -54,6 +59,7 @@ from helpers import (
     cpu_limit,
     d3_via_expansion,
     dense_diagram,
+    diagonal_factors,
     fraction_det,
     front_diagram,
     legendrian,
@@ -323,6 +329,35 @@ def test_ding_geiges_cancellation():
     for rng, _, diagram in chain_cases(1703):
         with cpu_limit(10):
             check_cancellation(rng, diagram)
+
+
+def split_union(first, second):
+    """The two diagrams side by side, unlinked, components renamed apart;
+    no companions."""
+    k, n = first.k, second.k
+    return SurgeryDiagram(
+        tuple(c._replace(name=f"A.{c.name}") for c in first.components)
+        + tuple(c._replace(name=f"B.{c.name}") for c in second.components),
+        tuple(tuple(row) + (0,) * n for row in first.linking)
+        + tuple((0,) * k + tuple(row) for row in second.linking), ())
+
+
+def test_split_union():
+    rng = random.Random(1706)
+    torsion = 0
+    for i in range(600):
+        parts = [random_case(rng, singular=rng.random() < 0.3) for _ in range(2)]
+        union = split_union(*parts)
+        homs = [homology(linking_matrix(d)) for d in parts]
+        factors = homs[0].invariant_factors + homs[1].invariant_factors
+        assert homology(linking_matrix(union)) == (
+            tuple(d for d in diagonal_factors(factors, len(factors)) if d > 1),
+            homs[0].free_rank + homs[1].free_rank), parts
+        d3s = [d3_report(d).d3 for d in parts]
+        both = None not in d3s
+        assert d3_report(union).d3 == (d3s[0] + d3s[1] + Fraction(1, 2) if both else None), parts
+        torsion += both
+    assert 200 < torsion < 550
 
 
 def check_expansion(diagram):

@@ -9,6 +9,7 @@ from surgeon import (
     GeneralizedLinkingMatrix,
     LegendrianComponent,
     SurgeryDiagram,
+    Sweep,
     diagram_signature,
     expand_to_pm1,
     homology,
@@ -18,7 +19,8 @@ from surgeon import (
     symmetric_signature,
 )
 from surgeon.cli import load_diagram
-from surgeon.exactlin import echelon_form, smith_diagonal
+import surgeon.exactlin
+from surgeon.exactlin import echelon_form, torsion_factors
 from surgeon.surgery import EXPANSION_LIMIT, solve
 
 from helpers import (
@@ -113,28 +115,33 @@ def chain_diagram(rng: random.Random, k, m_max=3) -> SurgeryDiagram:
 
 
 def check_homology(q):
-    """H_1 of Q against the Smith form with transforms and, as both run
-    `_smith`, against `smith_oracle`, which shares no code with it; H_1 is
-    the same from the echelon form of [Q^T | I] and from Q^T alone.  When
-    det Q != 0, H_1 is finite of order |det Q|, and its exponent, the
-    largest invariant factor, is the least common denominator of Q^-1:
-    oracles that need no Smith form.  A presentation with a sweep has
-    det S = prod(m) * det Q and the form exactly when det Q = 0.  Returns
-    whether det Q != 0."""
+    """H_1 of Q against the Smith form with transforms, and that against
+    `smith_oracle`, which shares no code with it.  torsion_factors of Q
+    modulo its exponent e, and modulo 6e, gives the same factors followed
+    by one factor e or 6e per free summand: any multiple of e serves.  The
+    presentation has det S = prod(m) * det Q and the form exactly when
+    det Q = 0; when det Q != 0, forcing the form on it (the modulus is then
+    the product of its image pivots) gives the same H_1.  Then H_1 is
+    finite of order |det Q|, and its exponent is the least common
+    denominator of Q^-1: oracles that need no Smith form.  Returns whether
+    det Q != 0."""
     snf = smith_normal_form(q.entries)
     hom = homology(q)
     assert hom.invariant_factors == tuple(d for d in snf.diagonal if d > 1)
     assert hom.free_rank == q.k - sum(1 for d in snf.diagonal if d)
-    form = echelon_form(q.entries)
-    assert homology(q._replace(form=None if q.form is not None else form)) == hom  # the other path
+    exponent = max(hom.invariant_factors, default=1)
+    for modulus in (exponent, 6 * exponent):
+        free = (modulus,) * hom.free_rank if modulus > 1 else ()
+        assert torsion_factors(q.entries, modulus) == hom.invariant_factors + free
     oracle = smith_oracle(q.entries)
     assert oracle is None or snf.diagonal == oracle
     det = fraction_det(q.entries)
-    if q.sweep is not None:
-        assert q.sweep.det == prod(q.magnitudes) * det
-        assert q.form == (None if det else form)
+    form = echelon_form(q.entries)
+    assert q.sweep.det == prod(q.magnitudes) * det
+    assert q.form == (None if det else form)
     if det == 0:
         return False
+    assert homology(q._replace(form=form)) == hom
     assert hom.free_rank == 0
     assert prod(hom.invariant_factors) == abs(det)
     inverse = rational_inverse(q.entries)
@@ -143,17 +150,19 @@ def check_homology(q):
 
 
 def bare(entries):
-    """A matrix Q with unit magnitudes, as `homology` reads it: Q and no
-    form, so H_1 eliminates Q^T alone.  Q need not be symmetric, so there
-    is no sweep."""
+    """A matrix Q with unit magnitudes, as `homology` reads it: a sweep
+    that holds det Q, and the form exactly when det Q = 0.  Q need not be
+    symmetric, so the sweep has no inertia and no steps."""
     entries = tuple(map(tuple, entries))
-    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), None, None)
+    det = int(fraction_det(entries))
+    return GeneralizedLinkingMatrix(entries, (1,) * len(entries), Sweep((), det, ()),
+                                    None if det else echelon_form(entries))
 
 
 class TestHomologyAgainstSmithForm:
-    """homology reads H_1 off echelon rows of Q^T, from the echelon form of
-    [Q^T | I] or from Q^T alone; `check_homology` holds both against every
-    oracle on 2083 matrices, and on the non-dividing family."""
+    """homology reads H_1 off Q modulo |det Q| or, when det Q = 0, modulo
+    the product of the image pivots of its form; `check_homology` holds it
+    against every oracle on 2083 matrices, and on the non-dividing family."""
 
     def test_dense(self):
         # k <= 7, then more k <= 4 until each such k has 160 draws
@@ -198,21 +207,27 @@ class TestHomologyAgainstSmithForm:
             check_homology(linking_matrix(chain_diagram(rng, k)))
 
     def test_non_dividing_family(self):
-        # Diagonals the passes reach with many pairs d_i, d_j where d_i does not
-        # divide d_j: diagonal, rectangular and block-diagonal inputs up to
-        # 7 x 7, with the transforms checked too, then large diagonal ones.
+        # Diagonals with many pairs d_i, d_j where d_i does not divide d_j:
+        # diagonal, rectangular and block-diagonal inputs up to 7 x 7, with
+        # the transforms checked too, then large diagonal ones.  A
+        # rectangular one's torsion factors, modulo the product P of its
+        # nonzero diagonal, end in one P per column past the rank.
         rng = random.Random(1204)
         for matrix, diagonal in non_dividing_family(rng, 150, k_max=6) + non_dividing_family(rng, 15):
             snf = smith_normal_form(matrix)
             check_snf_invariants(matrix, snf)
-            assert snf.diagonal == smith_diagonal(matrix) == diagonal
+            assert snf.diagonal == diagonal
+            modulus = prod(d for d in diagonal if d)
+            free = (modulus,) * (len(matrix[0]) - sum(1 for d in diagonal if d)) if modulus > 1 else ()
+            assert torsion_factors(matrix, modulus) == tuple(d for d in diagonal if d > 1) + free
             if len(matrix) == len(matrix[0]):
                 check_homology(bare(matrix))
         for k in (10, 20, 40):
             entries = [rng.choice(NON_DIVIDING_ENTRIES) for _ in range(k)]
             matrix = [[entries[i] if i == j else 0 for j in range(k)] for i in range(k)]
             check_homology(bare(matrix))
-            assert smith_diagonal(matrix) == diagonal_factors(entries, k)
+            diagonal = diagonal_factors(entries, k)
+            assert homology(bare(matrix)) == (tuple(d for d in diagonal if d > 1), diagonal.count(0))
 
 
 class TestHomologyWithoutSmithForm:
@@ -242,27 +257,59 @@ def continuant(a):
     return det
 
 
-def test_homology_continues_the_form():
-    """A growth guard: H_1 of a clasped chain of 400 unknots continues the
-    echelon form of Q; back-reducing its image rows first takes over 1 s of
-    CPU.  With +-1 coefficients Q is tridiagonal with unit
-    off-diagonal entries, so its (k-1)-minors have gcd 1 and H_1 is cyclic
-    of order |det Q|, which the continuant recurrence gives."""
-    q = linking_matrix(chain_diagram(random.Random(1221), 400, m_max=1))
+def test_homology_reduces_modulo_det():
+    """A growth guard: H_1 of the tests' chain of 400 unknots with
+    coefficients +-1/m (m <= 3).  Eliminating modulo |det Q| keeps every
+    entry below it and takes about 30 ms of CPU; the Smith passes on the
+    echelon rows of Q^T, whose entries were not reduced, took 9.6 s at
+    k = 200 on a 2-CPU Xeon.  H_1 is finite of order |det Q|, the
+    continuant of the tridiagonal Q, and its factors form a chain."""
+    q = linking_matrix(chain_diagram(random.Random(1), 400))
     with cpu_limit(1):
         hom = homology(q)
-    det = continuant(q.entries)
-    assert det != 0
-    assert hom == (((abs(det),) if abs(det) > 1 else ()), 0)
+    factors = hom.invariant_factors
+    assert hom.free_rank == 0 and prod(factors) == abs(continuant(q.entries))
+    assert all(y % x == 0 for x, y in zip(factors, factors[1:])) and min(factors) > 1
+    assert len(factors) > 10
+
+
+def test_every_entry_stays_below_the_modulus(monkeypatch):
+    """Every 2 x 2 step of torsion_factors, on rows or on columns, reads
+    and leaves entries in [0, P) only: the integer growth of H_1 is
+    bounded by design.  Bezout steps, which change both lines, and column
+    steps, which pass the two orientations the other way round, both run."""
+    steps, original = [], surgeon.exactlin._step
+
+    def checked(lines, cross, a, b, key, modulus):
+        before = [dict(lines[a]), dict(lines[b])]
+        original(lines, cross, a, b, key, modulus)
+        for line in before + [lines[a], lines[b]]:
+            assert all(0 <= x < modulus for x in line.values())
+        steps.append((lines, cross, lines[a] != before[0]))
+
+    monkeypatch.setattr(surgeon.exactlin, "_step", checked)
+    rng = random.Random(1222)
+    for k in (20, 50, 100):
+        homology(linking_matrix(chain_diagram(rng, k)))
+    for _ in range(20):
+        homology(linking_matrix(dense_diagram(rng, rng.randint(2, 12))))
+        homology(linking_matrix(singular_diagram(rng)))
+    for matrix, _ in non_dividing_family(rng, 60):
+        torsion_factors(matrix, 2 ** 10 * 3 ** 10 * 5 ** 10)
+    orientations = {(id(lines), id(cross)) for lines, cross, _ in steps}  # steps keeps each dict alive
+    assert any((y, x) in orientations for x, y in orientations)
+    assert any(changed for *_, changed in steps) and len(steps) > 500
 
 
 def test_homology_repairs_divisibility_on_the_diagonal():
-    """A growth guard: on chains with coefficients +-1/m (m <= 3) the Smith
-    passes reach a diagonal with hundreds of pairs where d_i does not divide
-    d_j.  Repairing each with a 2 x 2 Smith form keeps H_1 of two such
-    chains of 100 near 0.25 s of CPU; a full row and column pass per pair
-    took 1.05-1.33 s on a 2-CPU Xeon.  H_1 is finite of order |det Q|, the
-    continuant of the tridiagonal Q."""
+    """A growth guard: the orders that the elimination splits off H_1 of two
+    chains of 100 with coefficients +-1/m (m <= 3) are no divisibility
+    chain (19-22 pairs where d_i does not divide d_j), and the walk over
+    the pairs makes them one; the whole takes about 15 ms of CPU.  The
+    Smith passes it replaced took 0.25 s with a 2 x 2 repair per such
+    pair, and 1.05-1.33 s with a full row and column pass per pair, on a
+    2-CPU Xeon.  H_1 is finite of order |det Q|, the continuant of the
+    tridiagonal Q."""
     qs = [linking_matrix(chain_diagram(random.Random(seed), 100)) for seed in (1, 2)]
     with cpu_limit(1):
         homs = [homology(q) for q in qs]
